@@ -26,7 +26,7 @@ from .spatial_core import load_observations_csv, to_grid
 
 _CONFIG_KEYS = (
     "method", "variogram", "bins", "max-lag", "mp-tol", "max-sweeps",
-    "epsilon", "freeze-variogram", "neighborhood", "seed",
+    "epsilon", "freeze-variogram", "neighborhood",
 )
 
 
@@ -110,8 +110,6 @@ def build_config(args):
                 raise DataError(f"config file: bad value for {key}: {exc}") from None
         return default
 
-    # seed is parsed for forward compatibility; no default path consumes it
-    pick("seed", "seed", int, None)
     return FitConfig(
         method=pick("method", "method", str, "mpk"),
         family=pick("variogram", "variogram", str, "spherical"),
@@ -265,8 +263,6 @@ def _add_config_flags(sp):
                     help="fit the variogram once on the full data during cv")
     sp.add_argument("--neighborhood", type=int, metavar="K",
                     help="restrict kriging to the K nearest residuals")
-    sp.add_argument("--seed", type=int,
-                    help="reserved; the default pipeline is deterministic")
     sp.add_argument("--config", metavar="FILE",
                     help="key=value config file; flags take precedence")
 

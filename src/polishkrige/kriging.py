@@ -5,20 +5,23 @@ bins; parametric models (spherical, exponential, gaussian) are fitted by
 pair-count-weighted least squares.  Ordinary kriging solves the augmented
 covariance system with a Lagrange multiplier enforcing weights that sum to
 one, so predictions are unbiased for an unknown constant mean.
+
+KrigingSystem is the one engine behind ok_solve, ok_predict and the surface
+predictors: a sill-scaled system, factored once globally or solved per
+target over its k nearest points in stacked batches of targets.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lu_solve
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DataError, PolishKrigeError
-from .numerics import factor_checked
+from .errors import DataError, PolishKrigeError, SingularSystemError
+from .numerics import RCOND_FLOOR, factor_checked
 from .spatial_core import _frozen
 
 FAMILIES = ("spherical", "exponential", "gaussian")
@@ -232,52 +235,84 @@ def fit_variogram(emp, family="spherical"):
 
 
 class KrigingSystem:
-    """Factorized ordinary-kriging system for one scatter and model.
+    """The ordinary-kriging engine for one scatter and model.  Read-only.
 
-    Builds and factors the (n+1) x (n+1) augmented matrix once; solving for
-    any number of targets then costs one triangular solve each.  Read-only
-    after construction.
+    Systems are [[C / sill, 1], [1^T, 0]], so they and their condition do
+    not depend on the units of the values.  Without a neighborhood below n,
+    one global system is LU-factored here and rcond is its estimate.
+    Otherwise rcond is None and each predict call stacks the systems over
+    every target's k nearest points (np.hypot distance, ties to the lower
+    scatter index), raising SingularSystemError if any rcond is below
+    RCOND_FLOOR.  target_floats is the float64 scratch per target of a
+    predict call.  A zero-sill model predicts zero only for zero values.
     """
 
-    def __init__(self, scatter, model):
-        coords = scatter.coords
+    def __init__(self, scatter, model, neighborhood=None):
+        if neighborhood is not None and neighborhood < 1:
+            raise DataError("neighborhood must be at least 1")
         n = scatter.n
+        self.scatter = scatter
+        self.model = model
+        self.neighborhood = None if neighborhood is None or neighborhood >= n else neighborhood
+        self.target_floats = n + 2 * (self.neighborhood + 1) ** 2 if self.neighborhood else n
+        self.rcond = None
+        if model.sill == 0:
+            return
+        self._unit = replace(model, nugget=model.nugget / model.sill,
+                             partial_sill=model.partial_sill / model.sill)
+        if self.neighborhood is not None:
+            return
         a = np.empty((n + 1, n + 1))
-        a[:n, :n] = covariance(model, cdist(coords, coords))
+        a[:n, :n] = covariance(self._unit, cdist(scatter.coords, scatter.coords))
         a[n, :n] = 1.0
         a[:n, n] = 1.0
         a[n, n] = 0.0
-        self.scatter = scatter
-        self.model = model
         self._lu, self.rcond = factor_checked(a, "ordinary-kriging system")
 
-    def _rhs(self, targets):
-        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        n = self.scatter.n
-        b = np.empty((n + 1, targets.shape[0]))
-        b[:n] = covariance(self.model, cdist(self.scatter.coords, targets))
-        b[n] = 1.0
-        return b
+    def _solve(self, targets):
+        """Neighbourhood indices (m, k), or (1, n) for the global system,
+        weights (m, k), unit-sill Lagrange multipliers (m,) and unit-sill
+        target covariances (m, k) at an (m, 2) target array."""
+        if self.model.sill == 0:
+            raise SingularSystemError("zero-sill model has no unique kriging weights", 0.0)
+        xy = self.scatter.coords
+        if self.neighborhood is None:
+            n = self.scatter.n
+            b = np.empty((n + 1, len(targets)))
+            b[:n] = covariance(self._unit, cdist(xy, targets))
+            b[n] = 1.0
+            sol = lu_solve(self._lu, b, check_finite=False)
+            return np.arange(n)[None, :], sol[:n].T, sol[n], b[:n].T
 
-    def weights_many(self, targets):
-        """Solve for several targets at once; returns (m, n+1) of lambda, mu."""
-        sol = lu_solve(self._lu, self._rhs(targets), check_finite=False)
-        return sol.T
-
-    def weights_for(self, target):
-        sol = self.weights_many([(target.x, target.y)])[0]
-        return KrigingWeights(weights=sol[:-1], lagrange=float(sol[-1]))
+        k = self.neighborhood
+        d = np.hypot(xy[:, 0] - targets[:, :1], xy[:, 1] - targets[:, 1:])
+        idx = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
+        pts = xy[idx]
+        a = np.ones((len(targets), k + 1, k + 1))
+        pair_d = np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1)
+        a[:, :k, :k] = covariance(self._unit, pair_d)
+        a[:, k, k] = 0.0
+        b = np.ones((len(targets), k + 1))
+        b[:, :k] = covariance(self._unit, np.linalg.norm(pts - targets[:, None], axis=-1))
+        rcond = float(np.min(1.0 / np.linalg.cond(a, 1)))
+        if not rcond >= RCOND_FLOOR:
+            raise SingularSystemError(
+                f"neighbourhood kriging system is numerically singular (rcond {rcond:.3e})",
+                condition=rcond,
+            )
+        sol = np.linalg.solve(a, b[..., None])[..., 0]
+        return idx, sol[:, :k], sol[:, k], b[:, :k]
 
     def predict_many(self, targets):
         """Predicted values and variances at an (m, 2) target array."""
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        b = self._rhs(targets)
-        sol = lu_solve(self._lu, b, check_finite=False)
-        lam = sol[:-1]
-        mu = sol[-1]
-        values = lam.T @ self.scatter.values
-        variances = covariance(self.model, 0.0) - np.einsum("im,im->m", lam, b[:-1]) - mu
-        bad = variances < -1e-9
+        if self.model.sill == 0 and not self.scatter.values.any():
+            return np.zeros(len(targets)), np.zeros(len(targets))
+        idx, lam, mu, c = self._solve(targets)
+        values = np.einsum("mk,mk->m", lam, np.broadcast_to(self.scatter.values[idx], lam.shape))
+        unit_var = covariance(self._unit, 0.0) - np.einsum("mk,mk->m", lam, c) - mu
+        variances = self.model.sill * unit_var
+        bad = unit_var < -1e-9
         if bad.any():
             raise PolishKrigeError(
                 f"negative kriging variance {variances[bad].min():.3e} "
@@ -292,33 +327,17 @@ def ok_solve(scatter, model, target, neighborhood=None):
     neighborhood, if given, restricts the system to the k nearest scatter
     points (weights for excluded points are zero).  Raises
     SingularSystemError when the augmented matrix is not solvable (duplicate
-    geometry or an identically zero covariance model with n > 1).
+    geometry, or a constant or zero-sill covariance model).
     """
-    sub, back = _neighborhood_subset(scatter, target, neighborhood)
-    ws = KrigingSystem(sub, model).weights_for(target)
-    if back is None:
-        return ws
-    lam = np.zeros(scatter.n)
-    lam[back] = ws.weights
-    return KrigingWeights(weights=lam, lagrange=ws.lagrange)
+    system = KrigingSystem(scatter, model, neighborhood)
+    idx, lam, mu, _ = system._solve(np.array([[target.x, target.y]]))
+    weights = np.zeros(scatter.n)
+    weights[idx[0]] = lam[0]
+    return KrigingWeights(weights=weights, lagrange=float(mu[0]) * model.sill)
 
 
 def ok_predict(scatter, model, target, neighborhood=None):
     """Ordinary-kriging value and variance at one target location."""
-    sub, _ = _neighborhood_subset(scatter, target, neighborhood)
-    values, variances = KrigingSystem(sub, model).predict_many([(target.x, target.y)])
+    system = KrigingSystem(scatter, model, neighborhood)
+    values, variances = system.predict_many([(target.x, target.y)])
     return KrigingPrediction(value=float(values[0]), variance=float(variances[0]))
-
-
-def _neighborhood_subset(scatter, target, neighborhood):
-    from .spatial_core import ScatterSet
-
-    if neighborhood is None or neighborhood >= scatter.n:
-        return scatter, None
-    if neighborhood < 1:
-        raise DataError("neighborhood must be at least 1")
-    d = np.hypot(scatter.coords[:, 0] - target.x, scatter.coords[:, 1] - target.y)
-    order = np.argsort(d, kind="stable")[:neighborhood]
-    idx = np.sort(order)
-    sub = ScatterSet(scatter.coords[idx], scatter.values[idx])
-    return sub, idx

@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 from .errors import DataError, DuplicateLocationError, GreenSingularityError
 from .median_polish import MedianPolishFit
 from .numerics import factor_checked
-from .spatial_core import GridLattice, _frozen
+from .spatial_core import GridLattice, _frozen, axis_cells
 
 
 def green_function(m, r):
@@ -86,10 +86,6 @@ class BiharmonicModel:
         _reject_duplicate_rows(centers)
         object.__setattr__(self, "centers", _frozen(centers))
         object.__setattr__(self, "strengths", _frozen(strengths))
-
-    @property
-    def n_centers(self):
-        return self.centers.shape[0]
 
 
 def _reject_duplicate_rows(centers):
@@ -194,7 +190,7 @@ class LinearMeanModel:
 
 def _interp_effect(coords, effects, t):
     """Piecewise-linear effect value at positions t, extending end pairs."""
-    idx = np.clip(np.searchsorted(coords, t, side="left") - 1, 0, len(coords) - 2)
+    idx, _ = axis_cells(coords, t)
     x0 = coords[idx]
     x1 = coords[idx + 1]
     w = (t - x0) / (x1 - x0)

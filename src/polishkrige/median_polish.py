@@ -77,17 +77,20 @@ def _masked_axis_median(filled, counts, axis):
     return 0.5 * (s[lo, cols] + s[hi, cols])
 
 
-def _post_sweep_state_small(resid, present, counts_row, counts_col,
-                            row_effects, col_effects, tol):
+def _post_sweep_state(resid, present, counts_row, counts_col,
+                      row_effects, col_effects, tol):
+    """(polished, residual row medians) after a sweep; the next sweep starts
+    by removing exactly these row medians."""
     filled = np.where(present, resid, np.inf)
     row_med = _masked_axis_median(filled, counts_row, axis=1)
     col_med = _masked_axis_median(filled, counts_col, axis=0)
-    return (
+    polished = bool(
         np.abs(row_med).max() <= tol
         and np.abs(col_med).max() <= tol
         and abs(_vec_median(row_effects)) <= tol
         and abs(_vec_median(col_effects)) <= tol
     )
+    return polished, row_med
 
 
 def decompose(grid, tol=None, max_sweeps=100):
@@ -124,11 +127,10 @@ def decompose(grid, tol=None, max_sweeps=100):
 
     sweeps = 0
     converged = False
+    row_med = _masked_axis_median(np.where(present, resid, np.inf), counts_row, axis=1)
     for _ in range(max_sweeps):
         sweeps += 1
 
-        filled = np.where(present, resid, np.inf)
-        row_med = _masked_axis_median(filled, counts_row, axis=1)
         resid -= row_med[:, None]
         row_effects += row_med
         shift = _vec_median(col_effects)
@@ -143,9 +145,9 @@ def decompose(grid, tol=None, max_sweeps=100):
         row_effects -= shift
         overall += shift
 
-        if _post_sweep_state_small(resid, present, counts_row, counts_col,
-                                   row_effects, col_effects, tol):
-            converged = True
+        converged, row_med = _post_sweep_state(resid, present, counts_row, counts_col,
+                                               row_effects, col_effects, tol)
+        if converged:
             break
 
     resid[~present] = np.nan

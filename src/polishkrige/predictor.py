@@ -21,7 +21,6 @@ from .kriging import (
     KrigingSystem,
     empirical_semivariogram,
     fit_variogram,
-    ok_predict,
 )
 from .mean_surface import (
     LinearMeanModel,
@@ -43,7 +42,8 @@ class FitConfig:
     data spread, half the maximum pair distance).  freeze_variogram makes
     cross-validation reuse the full-data variogram in every fold instead of
     refitting.  neighborhood, if set, restricts each residual-kriging solve
-    to that many nearest residuals.
+    to that many nearest residuals (solved as one stack of small
+    sill-scaled systems per batch of targets).
     """
 
     method: str = "mpk"
@@ -79,9 +79,8 @@ class SurfaceModel:
     """A fitted predictor: mean component + residual kriging inputs.
 
     Immutable after fit; predict calls are pure and thread-safe.  The
-    ordinary-kriging factorization over the residual scatter is built once
-    and shared across targets (skipped when the variogram is degenerate,
-    in which case the residual part is identically zero).
+    residual-kriging engine (a KrigingSystem over the residual scatter with
+    the configured neighbourhood) is built once and shared across targets.
     """
 
     def __init__(self, method, mean_component, polish, residual_scatter, variogram,
@@ -93,10 +92,7 @@ class SurfaceModel:
         self.variogram = variogram
         self.source_grid = source_grid
         self.config = config
-        if variogram.degenerate or config.neighborhood is not None:
-            self._system = None
-        else:
-            self._system = KrigingSystem(residual_scatter, variogram)
+        self._system = KrigingSystem(residual_scatter, variogram, config.neighborhood)
 
     def mean_at(self, points):
         """Mean-surface values at an (M, 2) array of locations."""
@@ -153,27 +149,18 @@ def fit(grid, method, config=None, variogram=None):
 
 
 def predict_many(model, points):
-    """Values and variances at an (M, 2) array of target locations."""
+    """Values and variances at an (M, 2) array of target locations, in
+    chunks of about 2**21 floats of kriging scratch so that memory does
+    not grow with the number of targets."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    mean = model.mean_at(points)
-    if model._system is not None:
-        resid, var = model._system.predict_many(points)
-    elif model.variogram.degenerate:
-        resid = np.zeros(len(points))
-        var = np.zeros(len(points))
-    else:
-        resid = np.empty(len(points))
-        var = np.empty(len(points))
-        for i, (x, y) in enumerate(points):
-            p = ok_predict(
-                model.residual_scatter,
-                model.variogram,
-                Location2D(x, y),
-                neighborhood=model.config.neighborhood,
-            )
-            resid[i] = p.value
-            var[i] = p.variance
-    return mean + resid, var
+    values = np.empty(len(points))
+    variances = np.empty(len(points))
+    step = max(1, 2**21 // model._system.target_floats)
+    for lo in range(0, len(points), step):
+        chunk = points[lo:lo + step]
+        resid, variances[lo:lo + step] = model._system.predict_many(chunk)
+        values[lo:lo + step] = model.mean_at(chunk) + resid
+    return values, variances
 
 
 def predict(model, s):

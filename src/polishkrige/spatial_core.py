@@ -371,15 +371,12 @@ class CellRef:
         return self.x_side == 0 and self.y_side == 0
 
 
-def _axis_cell(coords, v):
-    n = len(coords)
-    if v < coords[0]:
-        return 0, -1
-    if v > coords[-1]:
-        return n - 2, 1
-    # ties at a node go to the lower-index cell; v == coords[-1] lands in n-2
-    idx = int(np.searchsorted(coords, v, side="left")) - 1
-    return max(0, min(idx, n - 2)), 0
+def axis_cells(coords, t):
+    """CellRef's cell index and side along one lattice axis, vectorised over
+    positions t; ties at a node go to the lower cell."""
+    idx = np.clip(np.searchsorted(coords, t, side="left") - 1, 0, len(coords) - 2)
+    side = (t > coords[-1]).astype(int) - (t < coords[0]).astype(int)
+    return idx, side
 
 
 def cell_containing(lattice, s):
@@ -390,6 +387,6 @@ def cell_containing(lattice, s):
     cell is the adjacent boundary pair and the side flags say which edges
     were crossed.  Total over finite locations.
     """
-    l, x_side = _axis_cell(lattice.x_coords, s.x)
-    k, y_side = _axis_cell(lattice.y_coords, s.y)
-    return CellRef(col=l, row=k, x_side=x_side, y_side=y_side)
+    l, x_side = axis_cells(lattice.x_coords, s.x)
+    k, y_side = axis_cells(lattice.y_coords, s.y)
+    return CellRef(col=int(l), row=int(k), x_side=int(x_side), y_side=int(y_side))

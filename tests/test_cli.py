@@ -152,6 +152,11 @@ class TestFitCommand:
             run(["fit", csv_path])
         assert exc.value.code == 2
 
+    def test_seed_flag_is_a_usage_error(self, csv_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", csv_path, "--seed", 1, "--out", tmp_path / "m"])
+        assert exc.value.code == 2
+
     def test_unknown_method_in_config_file(self, csv_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method=teleport\n")

@@ -257,6 +257,23 @@ class TestOrdinaryKriging:
             ok_solve(scatter, model, Location2D(1.0, 1.0))
         assert info.value.condition is not None
 
+    def test_degenerate_neighbourhood_is_singular(self, rng):
+        scatter = random_scatter(rng, 12)
+        model = VariogramModel("gaussian", 0.0, 1.0, 1e8)
+        system = KrigingSystem(scatter, model, neighborhood=5)
+        with pytest.raises(SingularSystemError) as info:
+            system.predict_many([(1.0, 1.0), (5.0, 5.0)])
+        assert info.value.condition is not None
+
+    def test_zero_sill_needs_zero_values(self, rng):
+        scatter = random_scatter(rng, 6)
+        model = VariogramModel("spherical", 0.0, 0.0, 5.0, degenerate=True)
+        with pytest.raises(SingularSystemError):
+            ok_predict(scatter, model, Location2D(1.0, 1.0))
+        flat = ScatterSet(scatter.coords, np.zeros(6))
+        pred = ok_predict(flat, model, Location2D(1.0, 1.0))
+        assert (pred.value, pred.variance) == (0.0, 0.0)
+
     def test_variance_never_negative(self, rng):
         scatter = random_scatter(rng, 10)
         model = self.params(rng)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from polishkrige import (
     CvReport,
@@ -10,6 +13,7 @@ from polishkrige import (
     Location2D,
     PredictionGrid,
     VariogramModel,
+    covariance,
     fit,
     loocv,
     ok_predict,
@@ -228,3 +232,78 @@ class TestRmseAndConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(DataError):
             FitConfig(**kwargs)
+
+
+class TestResidualEngine:
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    @pytest.mark.parametrize("b", [1e-6, 1e4, 1e6])
+    def test_value_scale(self, coal_ash_grid, method, b):
+        scaled = GridTable(coal_ash_grid.lattice, coal_ash_grid.cells * b)
+        assert fit(scaled, method).variogram.sill > 0
+
+        base = fit(coal_ash_grid, method)
+        v = base.variogram
+        model = fit(scaled, method, variogram=VariogramModel(
+            v.family, v.nugget * b * b, v.partial_sill * b * b, v.range))
+        lat = coal_ash_grid.lattice
+        pts = np.column_stack([
+            np.linspace(lat.x_coords[0], lat.x_coords[-1], 37) + 0.3,
+            np.linspace(lat.y_coords[-1], lat.y_coords[0], 37) + 0.2,
+        ])
+        base_v, base_s2 = predict_many(base, pts)
+        got_v, got_s2 = predict_many(model, pts)
+        np.testing.assert_allclose(got_v, base_v * b, rtol=1e-9)
+        np.testing.assert_allclose(got_s2, base_s2 * b * b, rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 14])
+    def test_neighbourhood_ties_follow_scatter_order(self, k):
+        # on a regular lattice the k-th nearest distance is shared by a whole
+        # ring of points at every node and cell centre; the neighbourhood is
+        # the k smallest by np.hypot distance, ties to the lower scatter index
+        rng = np.random.default_rng(5)
+        cells = rng.normal(size=(10, 10))
+        cells[rng.random((10, 10)) < 0.1] = np.nan
+        grid = GridTable(GridLattice(np.arange(10.0), np.arange(10.0)), cells)
+        model = fit(grid, "mpk", FitConfig(neighborhood=k),
+                    variogram=VariogramModel("exponential", 0.05, 1.0, 4.0))
+        xs = np.arange(10.0)
+        centres = np.arange(9.0) + 0.5
+        pts = np.vstack([np.stack(np.meshgrid(a, a), -1).reshape(-1, 2)
+                         for a in (xs, centres)])
+        values, variances = predict_many(model, pts)
+
+        sc = model.residual_scatter
+        v = model.variogram
+        for i, (x, y) in enumerate(pts):
+            d = np.hypot(sc.coords[:, 0] - x, sc.coords[:, 1] - y)
+            idx = np.sort(np.argsort(d, kind="stable")[:k])
+            sub = sc.coords[idx]
+            a = np.ones((k + 1, k + 1))
+            a[:k, :k] = covariance(v, cdist(sub, sub))
+            a[k, k] = 0.0
+            rhs = np.append(covariance(v, d[idx]), 1.0)
+            sol = np.linalg.solve(a, rhs)
+            resid = sol[:k] @ sc.values[idx]
+            var = v.sill - sol[:k] @ rhs[:k] - sol[k]
+            mean = model.mean_at(pts[i:i + 1])[0]
+            assert values[i] == pytest.approx(mean + resid, abs=1e-10)
+            assert variances[i] == pytest.approx(var, abs=1e-10)
+
+    @staticmethod
+    def peak(model, resolution):
+        tracemalloc.start()
+        try:
+            predict_grid(model, resolution)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_surface_memory_does_not_grow_with_grid(self, coal_ash_grid):
+        model = fit(coal_ash_grid, "impk")
+        assert self.peak(model, (300, 300)) < 1.5 * self.peak(model, (100, 100))
+
+    def test_wide_neighbourhood_memory_does_not_grow_with_grid(self, coal_ash_grid):
+        # 100 of 208 neighbours: the stacked systems, not the scatter size,
+        # set the memory per target
+        model = fit(coal_ash_grid, "impk", FitConfig(neighborhood=100))
+        assert self.peak(model, (40, 40)) < 1.5 * self.peak(model, (20, 20))
