@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lu_solve
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DataError, PolishKrigeError, SingularSystemError
@@ -171,10 +171,13 @@ def covariance(model, h):
 def fit_variogram(emp, family="spherical"):
     """Fit a variogram model to binned estimates by weighted least squares.
 
-    The objective is sum over bins of pair_count * (gamma_hat - gamma_model)^2.
-    A coarse deterministic grid over nugget, partial sill (both in
-    [0, max gamma_hat]) and range ((0, max_lag]) seeds a Nelder-Mead
-    refinement, so the result is reproducible bit-for-bit.
+    The objective is sum over bins of pair_count * (gamma_hat - gamma_model)^2
+    over nugget and partial sill in [0, 2 max gamma_hat] and range in
+    [1e-3 max_lag, max_lag].  At a fixed range it is a convex quadratic in
+    (nugget, partial sill), minimized exactly over that box; the profile over
+    range is searched on a 64-point grid, then by bounded Brent around the
+    best grid point to a tolerance relative to max_lag.  The fit is
+    deterministic and equivariant under value and coordinate scaling.
 
     All-zero estimates short-circuit to the degenerate zero model with the
     warning flag set.  Raises DataError for an unknown family or fewer than
@@ -187,51 +190,47 @@ def fit_variogram(emp, family="spherical"):
     if emp.n_bins < 3:
         raise DataError(f"variogram fit needs at least 3 occupied bins, got {emp.n_bins}")
 
-    h = emp.lag_centers
+    g = emp.gamma
     w = emp.pair_counts.astype(np.float64)
-    gmax = float(emp.gamma.max())
-
-    def objective(params):
-        nugget, psill, rng = params
-        if nugget < 0 or psill < 0 or rng <= 0:
-            return np.inf
-        resid = emp.gamma - _model_gamma(family, nugget, psill, rng, h)
-        return float(np.dot(w, resid * resid))
-
-    # coarse grid, evaluated in closed form: expanding the weighted SSE in
-    # (nugget, psill) leaves per-range moments of the unit-sill shape curve
-    nuggets = np.linspace(0.0, gmax, 9)
-    psills = np.linspace(0.0, gmax, 9)
-    ranges = emp.max_lag * np.arange(1, 13) / 12.0
-    shapes = np.stack([_model_gamma(family, 0.0, 1.0, r0, h) for r0 in ranges])
-    m_gg = float(np.dot(w, emp.gamma * emp.gamma))
-    m_g = float(np.dot(w, emp.gamma))
+    top = 2.0 * float(g.max())
     m_w = float(w.sum())
-    m_gs = shapes @ (w * emp.gamma)
-    m_s = shapes @ w
-    m_ss = (shapes * shapes) @ w
-    n_g = nuggets[:, None, None]
-    p_g = psills[None, :, None]
-    sse = (
-        m_gg
-        - 2.0 * n_g * m_g
-        - 2.0 * p_g * m_gs
-        + n_g * n_g * m_w
-        + 2.0 * n_g * p_g * m_s
-        + p_g * p_g * m_ss
-    )
-    i, j, r_i = np.unravel_index(int(np.argmin(sse)), sse.shape)
-    start = np.array([nuggets[i], psills[j], ranges[r_i]])
+    m_g = float(np.dot(w, g))
 
-    res = minimize(
-        objective,
-        x0=start,
-        method="Nelder-Mead",
-        bounds=[(0.0, 2 * gmax), (0.0, 2 * gmax), (1e-3 * emp.max_lag, emp.max_lag)],
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000, "maxfev": 6000},
+    def profile(ranges):
+        """Least weighted SSE with its (nugget, psill) at each range: the box
+        optimum is the interior stationary point or an edge optimum, and
+        clipping makes every candidate feasible."""
+        s = _model_gamma(family, 0.0, 1.0, ranges[:, None], emp.lag_centers)
+        m_s, m_ss, m_gs = s @ w, (s * s) @ w, s @ (w * g)
+        det = m_w * m_ss - m_s * m_s
+        zero, full = np.zeros_like(m_s), np.full_like(m_s, top)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nuggets = [(m_g * m_ss - m_s * m_gs) / det, zero, full,
+                       zero + m_g / m_w, (m_g - top * m_s) / m_w]
+            psills = [(m_w * m_gs - m_s * m_g) / det, m_gs / m_ss,
+                      (m_gs - top * m_s) / m_ss, zero, full]
+        nug = np.clip(np.nan_to_num(nuggets), 0.0, top)
+        psill = np.clip(np.nan_to_num(psills), 0.0, top)
+        resid = g - nug[..., None] - psill[..., None] * s
+        sse = (resid * resid) @ w
+        best = np.argmin(sse, axis=0)
+        cols = np.arange(len(ranges))
+        return sse[best, cols], nug[best, cols], psill[best, cols]
+
+    ranges = np.linspace(1e-3 * emp.max_lag, emp.max_lag, 64)
+    i = int(np.argmin(profile(ranges)[0]))
+    refined = minimize_scalar(
+        lambda r: profile(np.array([r]))[0][0],
+        bounds=(ranges[max(i - 1, 0)], ranges[min(i + 1, len(ranges) - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10 * emp.max_lag},
     )
-    nugget, psill, rng = res.x
-    return VariogramModel(family, max(float(nugget), 0.0), max(float(psill), 0.0), float(rng))
+    # Brent never evaluates its bounds, so the grid point stays a candidate
+    # and wins ties
+    ranges = np.array([ranges[i], refined.x])
+    sse, nug, psill = profile(ranges)
+    j = int(np.argmin(sse))
+    return VariogramModel(family, float(nug[j]), float(psill[j]), float(ranges[j]))
 
 
 class KrigingSystem:
