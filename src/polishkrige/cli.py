@@ -24,12 +24,6 @@ from .model_io import load_model, save_model
 from .predictor import METHODS, FitConfig, fit, loocv, predict_grid
 from .spatial_core import load_observations_csv, to_grid
 
-_CONFIG_KEYS = (
-    "method", "variogram", "bins", "max-lag", "mp-tol", "max-sweeps",
-    "epsilon", "freeze-variogram", "neighborhood",
-)
-
-
 def _fmt6(v):
     return f"{v:.6f}"
 
@@ -90,37 +84,39 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def build_config(args):
-    """Merge defaults, the optional config file, and explicit flags.
+# config-file key (the flag's name) -> (FitConfig field, parser of file values)
+_CONFIG_KEYS = {
+    "method": ("method", str),
+    "variogram": ("family", str),
+    "bins": ("n_bins", int),
+    "max-lag": ("max_lag", float),
+    "mp-tol": ("mp_tol", float),
+    "max-sweeps": ("max_sweeps", int),
+    "epsilon": ("epsilon", float),
+    "freeze-variogram": ("freeze_variogram", _parse_bool),
+    "neighborhood": ("neighborhood", int),
+}
 
-    Flags win over file values; anything unset falls back to the pipeline
-    defaults.  Bad file values are pipeline errors (exit 1), bad flag
-    values never get here (argparse rejects them with exit 2).
+
+def build_config(args):
+    """Merge the optional config file and explicit flags into a FitConfig.
+
+    Flags win over file values; anything unset keeps the FitConfig default.
+    Bad file values are pipeline errors (exit 1), bad flag values never get
+    here (argparse rejects them with exit 2).
     """
     file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(attr, key, cast, default):
-        flag = getattr(args, attr, None)
+    values = {}
+    for key, (field, cast) in _CONFIG_KEYS.items():
+        flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
-            return flag
-        if key in file_cfg:
+            values[field] = flag
+        elif key in file_cfg:
             try:
-                return cast(file_cfg[key])
+                values[field] = cast(file_cfg[key])
             except ValueError as exc:
                 raise DataError(f"config file: bad value for {key}: {exc}") from None
-        return default
-
-    return FitConfig(
-        method=pick("method", "method", str, "mpk"),
-        family=pick("variogram", "variogram", str, "spherical"),
-        n_bins=pick("bins", "bins", int, 15),
-        max_lag=pick("max_lag", "max-lag", float, None),
-        mp_tol=pick("mp_tol", "mp-tol", float, None),
-        max_sweeps=pick("max_sweeps", "max-sweeps", int, 100),
-        epsilon=pick("epsilon", "epsilon", float, 0.0),
-        freeze_variogram=pick("freeze_variogram", "freeze-variogram", _parse_bool, False),
-        neighborhood=pick("neighborhood", "neighborhood", int, None),
-    )
+    return FitConfig(**values)
 
 
 def write_lines(lines, path=None):

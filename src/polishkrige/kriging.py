@@ -129,7 +129,9 @@ def empirical_semivariogram(scatter, n_bins=15, max_lag=None):
         raise DataError(f"no point pair within max_lag {max_lag:g}")
 
     width = max_lag / n_bins
-    idx = np.minimum(np.ceil(d[keep] / width).astype(int) - 1, n_bins - 1)
+    # a pair within 1e-9 bin widths of an edge goes to the lower bin, so
+    # lattice pairs that sit on an edge keep their bin when coordinates scale
+    idx = np.clip(np.ceil(np.round(d[keep] / width, 9)).astype(int) - 1, 0, n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     sums = np.bincount(idx, weights=sq[keep], minlength=n_bins)
 

@@ -3,8 +3,8 @@
 Two ways to extend the fitted node means off the lattice: a piecewise-linear
 scheme that interpolates the row and column effect vectors independently
 (extending the boundary pair linearly outside the grid), and a biharmonic
-Green-function spline fitted through node means, which bends smoothly
-instead of creasing along grid lines.
+Green-function spline fitted through the node means less the overall level,
+which bends smoothly instead of creasing along grid lines.
 """
 
 from __future__ import annotations

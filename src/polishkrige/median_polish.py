@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridStructureError
 from .spatial_core import GridTable, _frozen
 
 
@@ -150,15 +151,22 @@ def decompose(grid, tol=None, max_sweeps=100):
         if converged:
             break
 
-    resid[~present] = np.nan
-    return MedianPolishFit(
-        overall=float(overall),
-        row_effects=row_effects,
-        col_effects=col_effects,
-        residuals=resid,
-        sweeps=sweeps,
-        converged=converged,
-    )
+    return polish_from_effects(cells, float(overall), row_effects, col_effects,
+                               sweeps, converged)
+
+
+def polish_from_effects(cells, overall, row_effects, col_effects, sweeps, converged):
+    """The MedianPolishFit of a p x q table with the given effects.
+
+    residuals = cells - (overall + row + col), so they are NaN exactly at the
+    missing cells and the decomposition identity holds by construction.
+    Raises GridStructureError if the effect lengths do not match the table.
+    """
+    if (len(row_effects), len(col_effects)) != cells.shape:
+        raise GridStructureError(f"effects are {len(row_effects)} x {len(col_effects)} "
+                                 f"but the table is {cells.shape[0]} x {cells.shape[1]}")
+    residuals = cells - (overall + row_effects[:, None] + col_effects[None, :])
+    return MedianPolishFit(overall, row_effects, col_effects, residuals, sweeps, converged)
 
 
 def node_mean(fit, k, l):

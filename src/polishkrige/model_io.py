@@ -3,21 +3,23 @@
 The format is versioned and self-describing: a signature line, a method
 line, then bracketed sections of whitespace-separated key/value or record
 lines.  Floats are written with repr, which round-trips exactly, so
-save -> load -> save is byte-identical.
+save -> load -> save is byte-identical.  Each fact is stored once: the
+residuals (cell minus fitted effects), the spline centres (the present
+cells) and the spline ridge (config epsilon) are rebuilt on load.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import DataError, GridStructureError, ModelFormatError
 from .kriging import VariogramModel
-from .mean_surface import BiharmonicModel, LinearMeanModel
-from .median_polish import MedianPolishFit, residuals_as_scatter
+from .mean_surface import BiharmonicModel
+from .median_polish import polish_from_effects, residuals_as_scatter
 from .predictor import FitConfig, SurfaceModel
 from .spatial_core import GridLattice, GridTable
 
-SIGNATURE = "polishkrige-model 1"
+SIGNATURE = "polishkrige-model 2"
 
 
 def _fmt(v):
@@ -56,11 +58,6 @@ def save_model(model, path):
     lines.append(f"sweeps {polish.sweeps}")
     lines.append(f"converged {int(polish.converged)}")
 
-    lines.append("[residuals]")
-    mask = ~np.isnan(polish.residuals)
-    for k, l in zip(*np.nonzero(mask)):
-        lines.append(f"{k} {l} {_fmt(polish.residuals[k, l])}")
-
     lines.append("[variogram]")
     lines.append(f"family {vg.family}")
     lines.append(f"nugget {_fmt(vg.nugget)}")
@@ -69,11 +66,8 @@ def save_model(model, path):
     lines.append(f"degenerate {int(vg.degenerate)}")
 
     if model.method == "impk":
-        spline = model.mean_component
         lines.append("[spline]")
-        lines.append(f"epsilon {_fmt(spline.regularization)}")
-        for (x, y), a in zip(spline.centers, spline.strengths):
-            lines.append(f"center {_fmt(x)} {_fmt(y)} {_fmt(a)}")
+        lines.append(f"strengths {_vector(model.mean_component.strengths)}")
 
     lines.append("[config]")
     lines.append(f"family {cfg.family}")
@@ -115,18 +109,22 @@ def _keyed(section_lines, section):
     return out
 
 
-def _cells_from_records(section_lines, p, q, section):
+def _grid_cells(section_lines, p, q):
     cells = np.full((p, q), np.nan)
     for line_no, raw in section_lines:
         parts = raw.split()
         try:
             k, l, v = int(parts[0]), int(parts[1]), float(parts[2])
         except (ValueError, IndexError):
-            raise ModelFormatError(f"line {line_no}: bad record in [{section}]") from None
+            raise ModelFormatError(f"line {line_no}: bad record in [grid]") from None
         if not (0 <= k < p and 0 <= l < q):
             raise ModelFormatError(f"line {line_no}: cell ({k}, {l}) outside {p} x {q}")
         cells[k, l] = v
     return cells
+
+
+def _floats(text):
+    return np.array([float(t) for t in text.split()])
 
 
 def _opt_float(text):
@@ -140,8 +138,9 @@ def _opt_int(text):
 def load_model(path):
     """Read a SurfaceModel back from a file written by save_model.
 
-    Raises ModelFormatError for a missing file, wrong signature, or any
-    malformed section; messages carry the offending line number.
+    Raises ModelFormatError for a missing file, wrong signature (including
+    the version 1 format, which must be refitted), or any malformed or
+    invalid section; messages carry the offending line number or the path.
     """
     try:
         with open(path, "r") as fh:
@@ -160,7 +159,7 @@ def load_model(path):
         raise ModelFormatError(f"{path}: unknown method {method!r}")
 
     sections = _split_sections(lines[2:])
-    required = ["lattice", "grid", "polish", "residuals", "variogram", "config"]
+    required = ["lattice", "grid", "polish", "variogram", "config"]
     if method == "impk":
         required.append("spline")
     for name in required:
@@ -169,25 +168,18 @@ def load_model(path):
 
     try:
         latkv = _keyed(sections["lattice"], "lattice")
-        lattice = GridLattice(
-            np.array([float(t) for t in latkv["x"].split()]),
-            np.array([float(t) for t in latkv["y"].split()]),
-        )
-        p, q = lattice.p, lattice.q
-
-        grid = GridTable(lattice, _cells_from_records(sections["grid"], p, q, "grid"))
+        lattice = GridLattice(_floats(latkv["x"]), _floats(latkv["y"]))
+        grid = GridTable(lattice, _grid_cells(sections["grid"], lattice.p, lattice.q))
 
         pkv = _keyed(sections["polish"], "polish")
-        polish = MedianPolishFit(
-            overall=float(pkv["overall"]),
-            row_effects=np.array([float(t) for t in pkv["row_effects"].split()]),
-            col_effects=np.array([float(t) for t in pkv["col_effects"].split()]),
-            residuals=_cells_from_records(sections["residuals"], p, q, "residuals"),
-            sweeps=int(pkv["sweeps"]),
-            converged=bool(int(pkv["converged"])),
+        polish = polish_from_effects(
+            grid.cells,
+            float(pkv["overall"]),
+            _floats(pkv["row_effects"]),
+            _floats(pkv["col_effects"]),
+            int(pkv["sweeps"]),
+            bool(int(pkv["converged"])),
         )
-        if len(polish.row_effects) != p or len(polish.col_effects) != q:
-            raise ModelFormatError(f"{path}: effect lengths do not match the lattice")
 
         vkv = _keyed(sections["variogram"], "variogram")
         variogram = VariogramModel(
@@ -211,35 +203,12 @@ def load_model(path):
             neighborhood=_opt_int(ckv["neighborhood"]),
         )
 
-        if method == "mpk":
-            mean_component = LinearMeanModel(polish, lattice)
-        else:
-            eps = None
-            centers = []
-            strengths = []
-            for line_no, raw in sections["spline"]:
-                parts = raw.split()
-                if parts[0] == "epsilon":
-                    eps = float(parts[1])
-                elif parts[0] == "center" and len(parts) == 4:
-                    centers.append((float(parts[1]), float(parts[2])))
-                    strengths.append(float(parts[3]))
-                else:
-                    raise ModelFormatError(f"line {line_no}: bad entry in [spline]")
-            if eps is None or not centers:
-                raise ModelFormatError(f"{path}: incomplete [spline] section")
-            mean_component = BiharmonicModel(2, np.array(centers), np.array(strengths), eps)
-    except ModelFormatError:
-        raise
-    except (KeyError, ValueError) as exc:
+        residual_scatter = residuals_as_scatter(polish, lattice)
+        spline = None
+        if method == "impk":
+            strengths = _floats(_keyed(sections["spline"], "spline")["strengths"])
+            spline = BiharmonicModel(2, residual_scatter.coords, strengths, config.epsilon)
+    except (KeyError, ValueError, DataError, GridStructureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
 
-    return SurfaceModel(
-        method=method,
-        mean_component=mean_component,
-        polish=polish,
-        residual_scatter=residuals_as_scatter(polish, lattice),
-        variogram=variogram,
-        source_grid=grid,
-        config=config,
-    )
+    return SurfaceModel(grid, config, polish, residual_scatter, variogram, spline)

@@ -3,9 +3,10 @@
 Both methods decompose the gridded data by median polish and krige the
 residuals; they differ only in how the fitted node means are carried off
 the lattice.  MPK interpolates the effect vectors piecewise-linearly, IMPK
-passes a biharmonic spline through the node means at the observed cells.
-Prediction is mean plus kriged residual; reported variance is the kriging
-variance of the residual part (the mean surface is treated as fixed).
+adds the overall level to a biharmonic spline through the row plus column
+effects at the observed cells.  Prediction is mean plus kriged residual;
+reported variance is the kriging variance of the residual part (the mean
+surface is treated as fixed).
 """
 
 from __future__ import annotations
@@ -78,15 +79,18 @@ class FitConfig:
 class SurfaceModel:
     """A fitted predictor: mean component + residual kriging inputs.
 
-    Immutable after fit; predict calls are pure and thread-safe.  The
-    residual-kriging engine (a KrigingSystem over the residual scatter with
-    the configured neighbourhood) is built once and shared across targets.
+    The method comes from config; the mean component is the linear effect
+    model for mpk and overall plus the given spline for impk.  Immutable
+    after fit; predict calls are pure and thread-safe.  The residual-kriging
+    engine (a KrigingSystem over the residual scatter with the configured
+    neighbourhood) is built once and shared across targets.
     """
 
-    def __init__(self, method, mean_component, polish, residual_scatter, variogram,
-                 source_grid, config):
-        self.method = method
-        self.mean_component = mean_component
+    def __init__(self, source_grid, config, polish, residual_scatter, variogram,
+                 spline=None):
+        self.method = config.method
+        self.mean_component = (LinearMeanModel(polish, source_grid.lattice)
+                               if self.method == "mpk" else spline)
         self.polish = polish
         self.residual_scatter = residual_scatter
         self.variogram = variogram
@@ -98,21 +102,20 @@ class SurfaceModel:
         """Mean-surface values at an (M, 2) array of locations."""
         if self.method == "mpk":
             return linear_mean_many(self.mean_component, points)
-        return biharmonic_eval_many(self.mean_component, points)
+        return self.polish.overall + biharmonic_eval_many(self.mean_component, points)
 
 
 def fit(grid, method, config=None, variogram=None):
     """Fit a SurfaceModel of the requested method to a GridTable.
 
-    Runs median polish, builds the mean component (linear effect model for
-    mpk; biharmonic spline through the node means at observed cells for
-    impk), extracts the residual scatter, and fits its variogram.  A
+    Runs median polish, extracts the residual scatter, fits the impk spline
+    through the row plus column effects at the observed cells (the overall
+    level is added back on evaluation, so a shift of the values moves every
+    prediction by exactly that shift), and fits the residual variogram.  A
     pre-fitted variogram may be supplied to skip estimation (used by
     cross-validation with freeze_variogram).  Deterministic for fixed
     inputs.
     """
-    if method not in METHODS:
-        raise DataError(f"method must be one of {METHODS}, got {method!r}")
     config = config or FitConfig()
     if config.method != method:
         config = replace(config, method=method)
@@ -120,16 +123,11 @@ def fit(grid, method, config=None, variogram=None):
     polish = decompose(grid, tol=config.mp_tol, max_sweeps=config.max_sweeps)
     residual_scatter = residuals_as_scatter(polish, grid.lattice)
 
-    if method == "mpk":
-        mean_component = LinearMeanModel(polish, grid.lattice)
-    else:
-        node_means = polish.node_mean_grid()
+    spline = None
+    if method == "impk":
         rows, cols = np.nonzero(grid.present_mask)
-        mean_component = biharmonic_fit(
-            residual_scatter.coords,
-            node_means[rows, cols],
-            regularization=config.epsilon,
-        )
+        effects = polish.row_effects[rows] + polish.col_effects[cols]
+        spline = biharmonic_fit(residual_scatter.coords, effects, config.epsilon)
 
     if variogram is None:
         emp = empirical_semivariogram(
@@ -137,15 +135,7 @@ def fit(grid, method, config=None, variogram=None):
         )
         variogram = fit_variogram(emp, family=config.family)
 
-    return SurfaceModel(
-        method=method,
-        mean_component=mean_component,
-        polish=polish,
-        residual_scatter=residual_scatter,
-        variogram=variogram,
-        source_grid=grid,
-        config=config,
-    )
+    return SurfaceModel(grid, config, polish, residual_scatter, variogram, spline)
 
 
 def predict_many(model, points):

@@ -220,6 +220,14 @@ class TestSurfaceCommand:
         lines = pgm_lines(np.full((2, 3), 7.7))
         assert lines[3:] == ["0 0 0", "0 0 0"]
 
+    def test_invalid_model_value_is_bad_model(self, model_path, tmp_path, capsys):
+        text = model_path.read_text()
+        nugget = next(ln for ln in text.splitlines() if ln.startswith("nugget"))
+        model_path.write_text(text.replace(nugget, "nugget -1.0"))
+        code = run(["surface", model_path, "--resolution", "4x4", "--out", tmp_path / "s.csv"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("bad-model:")
+
     def test_missing_model_file(self, tmp_path, capsys):
         code = run(["surface", tmp_path / "ghost.model", "--resolution", "4x4",
                     "--out", tmp_path / "s.csv"])

@@ -68,6 +68,15 @@ class TestEmpiricalVariogram:
         with pytest.raises(DataError):
             empirical_semivariogram(ScatterSet([(0.0, 0.0)], [1.0]))
 
+    def test_lattice_bins_do_not_depend_on_coordinate_scale(self, coal_ash_grid):
+        # many coal-ash lattice pair distances sit exactly on a bin edge
+        scatter = fit(coal_ash_grid, "mpk").residual_scatter
+        base = empirical_semivariogram(scatter)
+        for c in (1e-2, 0.1, 1e3):
+            got = empirical_semivariogram(ScatterSet(c * scatter.coords, scatter.values))
+            np.testing.assert_array_equal(got.pair_counts, base.pair_counts)
+            np.testing.assert_array_equal(got.gamma, base.gamma)
+
 
 class TestVariogramModel:
     model = VariogramModel("spherical", 0.1, 0.9, 2.0)
@@ -215,8 +224,6 @@ class TestFitVariogramOnCoalAsh:
             assert got.range == pytest.approx(base.range, rel=1e-7)
             assert got.nugget == pytest.approx(b * b * base.nugget, rel=1e-7)
             assert got.partial_sill == pytest.approx(b * b * base.partial_sill, rel=1e-7)
-        # rescaled here rather than through the scatter: lattice distances
-        # sit exactly on bin edges, where rounding can move pairs between bins
         for c in (1e-2, 1e3):
             scaled = EmpiricalVariogram(c * emp.lag_centers, emp.gamma, emp.pair_counts, c * emp.max_lag)
             got = fit_variogram(scaled, family)

@@ -4,9 +4,17 @@ import pytest
 from polishkrige import FitConfig, ModelFormatError, fit, load_model, predict_many, save_model
 
 
-@pytest.fixture(params=["mpk", "impk"])
+# every FitConfig field off its default, including the spline ridge epsilon
+ALL_SET = dict(family="gaussian", n_bins=9, max_lag=3.5, mp_tol=1e-6, max_sweeps=40,
+               epsilon=0.05, freeze_variogram=True, neighborhood=7)
+
+
+@pytest.fixture(params=[("mpk", {}), ("impk", {}), ("mpk", ALL_SET), ("impk", ALL_SET)],
+                ids=["mpk", "impk", "mpk-all-set", "impk-all-set"])
 def fitted(request, holey_table):
-    return fit(holey_table, request.param, FitConfig(family="exponential", n_bins=12))
+    method, overrides = request.param
+    config = FitConfig(**{"family": "exponential", "n_bins": 12, **overrides})
+    return fit(holey_table, method, config)
 
 
 class TestRoundTrip:
@@ -35,8 +43,25 @@ class TestRoundTrip:
         path = tmp_path / "surface.model"
         save_model(fitted, path)
         text = path.read_text()
-        assert text.splitlines()[0] == "polishkrige-model 1"
+        assert text.splitlines()[0] == "polishkrige-model 2"
         assert text.endswith("\n")
+
+    def test_spline_ridge_survives(self, fitted, tmp_path):
+        path = tmp_path / "surface.model"
+        save_model(fitted, path)
+        loaded = load_model(path)
+        ridge = getattr(fitted.mean_component, "regularization", None)
+        assert getattr(loaded.mean_component, "regularization", None) == ridge
+
+    def test_file_stores_no_derived_facts(self, fitted, tmp_path):
+        path = tmp_path / "surface.model"
+        save_model(fitted, path)
+        lines = path.read_text().splitlines()
+        assert "[residuals]" not in lines
+        if fitted.method == "impk":
+            spline = lines[lines.index("[spline]") + 1:lines.index("[config]")]
+            assert [ln.split()[0] for ln in spline] == ["strengths"]
+            assert len(spline[0].split()) == 1 + fitted.source_grid.n_present
 
     def test_save_load_save_is_stable(self, fitted, tmp_path):
         a = tmp_path / "one.model"
@@ -95,6 +120,28 @@ class TestFormatErrors:
         path = tmp_path / "method.model"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("method,prefix,edit", [
+        ("mpk", "polishkrige-model", lambda ln: "polishkrige-model 1"),
+        ("mpk", "family", lambda ln: "family teleport"),
+        ("mpk", "n_bins", lambda ln: "n_bins 0"),
+        ("mpk", "nugget", lambda ln: "nugget -1.0"),
+        ("mpk", "x ", lambda ln: "x " + " ".join(reversed(ln.split()[1:]))),
+        ("mpk", "0 0 ", lambda ln: "0 0 inf"),
+        ("mpk", "row_effects", lambda ln: ln.rsplit(" ", 1)[0]),
+        ("impk", "strengths", lambda ln: ln.rsplit(" ", 1)[0]),
+        ("impk", "strengths", lambda ln: ln + " 1.0"),
+    ], ids=["version-1", "family", "n_bins", "nugget", "decreasing-x", "inf-cell",
+            "short-effects", "short-strengths", "long-strengths"])
+    def test_invalid_value_is_a_format_error(self, holey_table, tmp_path, method, prefix, edit):
+        path = tmp_path / "bad.model"
+        save_model(fit(holey_table, method), path)
+        lines = path.read_text().splitlines()
+        target = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[target] = edit(lines[target])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="bad.model"):
             load_model(path)
 
     def test_missing_file_reported_with_path(self, tmp_path):

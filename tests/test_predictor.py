@@ -86,8 +86,6 @@ class TestPredictionInvariants:
         np.testing.assert_allclose(got_s2, base_s2, rtol=0, atol=1e-6)
 
     def test_shift_equivariance_impk_at_nodes(self, holey_table):
-        # the node-mean spline carries no constant term, so adding a level
-        # shifts its predictions exactly at the interpolated nodes only
         shift = 42.5
         shifted = GridTable(holey_table.lattice, holey_table.cells + shift)
         rows, cols = np.nonzero(holey_table.present_mask)
@@ -97,6 +95,26 @@ class TestPredictionInvariants:
         base_v, _ = predict_many(fit(holey_table, "impk"), pts)
         got_v, _ = predict_many(fit(shifted, "impk"), pts)
         np.testing.assert_allclose(got_v, base_v + shift, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_shift_equivariance_on_coal_ash(self, coal_ash_grid, method, family):
+        lat = coal_ash_grid.lattice
+        dx = lat.x_coords[1] - lat.x_coords[0]
+        dy = lat.y_coords[1] - lat.y_coords[0]
+        gx, gy = np.meshgrid(np.linspace(lat.x_coords[0] - dx, lat.x_coords[-1] + dx, 23),
+                             np.linspace(lat.y_coords[0] - dy, lat.y_coords[-1] + dy, 29))
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        config = FitConfig(family=family)
+        base, _ = predict_many(fit(coal_ash_grid, method, config), pts)
+        spread = np.nanmax(coal_ash_grid.cells) - np.nanmin(coal_ash_grid.cells)
+        for shift in (100.0, -3.0):
+            shifted = GridTable(lat, coal_ash_grid.cells + shift)
+            got, _ = predict_many(fit(shifted, method, config), pts)
+            # not exact: the shifted polish differs from the unshifted one in
+            # the last bits, and the flat gaussian profile turns that into
+            # about 1e-7 of prediction
+            np.testing.assert_allclose(got, base + shift, rtol=0, atol=1e-6 * spread)
 
     @pytest.mark.parametrize("method", ["mpk", "impk"])
     def test_prediction_decomposes_into_mean_plus_kriged_residual(self, holey_table, method):
@@ -121,8 +139,7 @@ class TestPredictionInvariants:
         np.testing.assert_allclose(values, 3.25, atol=1e-12)
         np.testing.assert_allclose(variances, 0.0, atol=0)
 
-        # the spline mean reproduces the constant at its nodes; off the
-        # lattice a pure Green-sum surface bends away from it
+        # the spline mean reproduces the constant at its nodes
         impk = fit(grid, "impk")
         assert impk.variogram.degenerate
         values, variances = predict_many(impk, nodes)
