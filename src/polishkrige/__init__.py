@@ -41,6 +41,7 @@ from .predictor import (
     PredictionGrid,
     SkippedFold,
     SurfaceModel,
+    cross_validate,
     fit,
     loocv,
     predict,

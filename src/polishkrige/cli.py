@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DataError, PolishKrigeError
 from .kriging import FAMILIES
 from .model_io import load_model, save_model
-from .predictor import METHODS, FitConfig, fit, loocv, predict_grid
+from .predictor import METHODS, FitConfig, cross_validate, fit, predict_grid
 from .spatial_core import load_observations_csv, to_grid
 
 def _fmt6(v):
@@ -226,11 +226,13 @@ def cmd_cv(args):
     config = build_config(args)
     _, grid = _load_grid(args)
     methods = ("mpk", "impk") if args.both else (config.method,)
-    reports = [loocv(grid, m, config) for m in methods]
+    reports = cross_validate(grid, methods, config)
 
     for report in reports:
         if report.skipped:
             print(f"skipped folds ({report.method}): {len(report.skipped)}", file=sys.stderr)
+        if report.unconverged:
+            print(f"unconverged folds ({report.method}): {report.unconverged}", file=sys.stderr)
 
     if args.both:
         if args.out:

@@ -124,14 +124,14 @@ def empirical_semivariogram(scatter, n_bins=15, max_lag=None):
     if not max_lag > 0:
         raise DataError("max_lag must be positive")
 
-    keep = (d > 0) & (d <= max_lag)
+    width = max_lag / n_bins
+    # a pair within 1e-9 bin widths of an edge, max_lag included, goes to the
+    # lower bin, so lattice pairs on an edge keep their bin when coordinates scale
+    u = np.round(d / width, 9)
+    keep = (d > 0) & (u <= n_bins)
     if not keep.any():
         raise DataError(f"no point pair within max_lag {max_lag:g}")
-
-    width = max_lag / n_bins
-    # a pair within 1e-9 bin widths of an edge goes to the lower bin, so
-    # lattice pairs that sit on an edge keep their bin when coordinates scale
-    idx = np.clip(np.ceil(np.round(d[keep] / width, 9)).astype(int) - 1, 0, n_bins - 1)
+    idx = np.clip(np.ceil(u[keep]).astype(int) - 1, 0, n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     sums = np.bincount(idx, weights=sq[keep], minlength=n_bins)
 

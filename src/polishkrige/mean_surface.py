@@ -16,9 +16,9 @@ from scipy.linalg import lu_solve
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, DuplicateLocationError, GreenSingularityError
+from .errors import DataError, DuplicateLocationError, GreenSingularityError, SingularSystemError
 from .median_polish import MedianPolishFit
-from .numerics import factor_checked
+from .numerics import RCOND_FLOOR, factor_checked
 from .spatial_core import GridLattice, _frozen, axis_cells
 
 
@@ -154,6 +154,30 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
     lu_piv, _ = factor_checked(g, "green-function system")
     strengths = lu_solve(lu_piv, values, check_finite=False)
     return BiharmonicModel(dimension, centers, strengths, float(regularization))
+
+
+def biharmonic_deletions(centers, regularization=0.0):
+    """deletion(i, w): the value at centers[i] of the 2-D spline through w at
+    every other centre, by Dubrule's (1983) identity -H[i, ~i] . w[~i] / H[i, i]
+    with H the inverse of the full G + eps I, in O(N).  The reduced spline is
+    fitted instead (raising what biharmonic_fit raises) if G + eps I is
+    singular or |H[i, i]| cannot certify the reduced system's 1-norm rcond,
+    at least |H[i, i]| / (|G| |H| (|H| + |H[i, i]|)), above RCOND_FLOOR."""
+    n = len(centers)
+    g = green_function(2, cdist(centers, centers)) + regularization * np.eye(n)
+    try:
+        h = lu_solve(factor_checked(g, "green-function system")[0], np.eye(n))
+        g_norm, h_norm = np.linalg.norm(g, 1), np.linalg.norm(h, 1)
+    except SingularSystemError:
+        h = None
+
+    def deletion(i, w):
+        hii = 0.0 if h is None else abs(h[i, i])
+        if hii and hii >= RCOND_FLOOR * g_norm * h_norm * (h_norm + hii):
+            return -(np.delete(h[i], i) @ np.delete(w, i)) / h[i, i]
+        spline = biharmonic_fit(np.delete(centers, i, axis=0), np.delete(w, i), regularization)
+        return biharmonic_eval_many(spline, centers[i:i + 1])[0]
+    return deletion
 
 
 def biharmonic_eval(model, s):

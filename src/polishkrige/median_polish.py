@@ -53,106 +53,82 @@ class MedianPolishFit:
         return self.overall + self.row_effects[:, None] + self.col_effects[None, :]
 
 
-def _vec_median(v):
-    """Median of a 1-D array of known-finite values (mean of middles)."""
-    s = np.sort(v)
-    n = len(s)
-    return 0.5 * (s[(n - 1) // 2] + s[n // 2])
+def _median(v):
+    """Medians along the last axis (mean of the middles) of finite values."""
+    s = np.sort(v, axis=-1)
+    n = s.shape[-1]
+    return 0.5 * (s[..., (n - 1) // 2] + s[..., n // 2])
 
 
-def _masked_axis_median(filled, counts, axis):
-    """Median along axis, missing entries pre-filled with +inf.
-
-    counts holds the number of present entries per row (axis=1) or column
-    (axis=0); the even-count median is the mean of the two middle order
-    statistics.  Much faster than nanmedian for the small tables polished
-    here, and called every sweep.
-    """
-    s = np.sort(filled, axis=axis)
-    lo = (counts - 1) // 2
-    hi = counts // 2
-    if axis == 1:
-        rows = np.arange(s.shape[0])
-        return 0.5 * (s[rows, lo] + s[rows, hi])
-    cols = np.arange(s.shape[1])
-    return 0.5 * (s[lo, cols] + s[hi, cols])
+def _masked_median(filled, counts):
+    """Medians along the last axis of a (B, m, n) stack with missing entries
+    filled with +inf and counts (B, m) present entries; much faster than
+    nanmedian for the small tables polished here."""
+    s = np.sort(filled, axis=-1).reshape(-1, filled.shape[-1])
+    rows, c = np.arange(len(s)), counts.ravel()
+    return (0.5 * (s[rows, (c - 1) // 2] + s[rows, c // 2])).reshape(counts.shape)
 
 
-def _post_sweep_state(resid, present, counts_row, counts_col,
-                      row_effects, col_effects, tol):
-    """(polished, residual row medians) after a sweep; the next sweep starts
-    by removing exactly these row medians."""
-    filled = np.where(present, resid, np.inf)
-    row_med = _masked_axis_median(filled, counts_row, axis=1)
-    col_med = _masked_axis_median(filled, counts_col, axis=0)
-    polished = bool(
-        np.abs(row_med).max() <= tol
-        and np.abs(col_med).max() <= tol
-        and abs(_vec_median(row_effects)) <= tol
-        and abs(_vec_median(col_effects)) <= tol
-    )
-    return polished, row_med
-
-
-def decompose(grid, tol=None, max_sweeps=100):
-    """Run median polish on a GridTable.
+def polish_stack(cells, tol=None, max_sweeps=100):
+    """Median polish of a (B, p, q) stack of tables with missing cells NaN:
+    (overall, row_effects, col_effects, sweeps, converged), stacked.
 
     A sweep subtracts row medians from the residuals (folding them into the
     row effects), re-centres the column effects by their median (folding that
     into the overall term), then does the same for columns and row effects.
-    Convergence is declared once the post-sweep state is polished: every
-    residual row median, every residual column median, and the medians of
-    both effect vectors are within tol of zero.
-
-    Args:
-        grid: GridTable to decompose; every row and column has at least one
-            present cell, so all medians exist.
-        tol: convergence tolerance; default is 1e-9 times the spread of the
-            present values.
-        max_sweeps: sweep budget; on exhaustion the fit is returned with
-            converged=False (the decomposition identity holds regardless).
-    """
-    cells = grid.cells
+    A table converges, and is frozen, once every residual row and column
+    median and the medians of both effect vectors are within its tol
+    (default 1e-9 times its spread) of zero."""
+    cells = np.asarray(cells, dtype=np.float64)
+    b, p, q = cells.shape
     if tol is None:
-        spread = float(np.nanmax(cells) - np.nanmin(cells))
-        tol = 1e-9 * spread
-
-    p, q = cells.shape
-    present = grid.present_mask
-    counts_row = present.sum(axis=1)
-    counts_col = present.sum(axis=0)
-    resid = np.array(cells)
-    row_effects = np.zeros(p)
-    col_effects = np.zeros(q)
-    overall = 0.0
-
-    sweeps = 0
-    converged = False
-    row_med = _masked_axis_median(np.where(present, resid, np.inf), counts_row, axis=1)
-    for _ in range(max_sweeps):
-        sweeps += 1
-
-        resid -= row_med[:, None]
+        tol = 1e-9 * (np.nanmax(cells, axis=(1, 2)) - np.nanmin(cells, axis=(1, 2)))
+    out = (np.zeros(b), np.zeros((b, p)), np.zeros((b, q)), np.zeros(b, int), np.zeros(b, bool))
+    active, tol = np.arange(b), np.broadcast_to(tol, (b,))
+    resid, present = np.array(cells), ~np.isnan(cells)
+    counts_row, counts_col = present.sum(axis=2), present.sum(axis=1)
+    overall, row_effects, col_effects = out[0].copy(), out[1].copy(), out[2].copy()
+    row_med = _masked_median(np.where(present, resid, np.inf), counts_row)
+    sweep = 0
+    while len(active) and sweep < max_sweeps:
+        sweep += 1
+        resid -= row_med[:, :, None]
         row_effects += row_med
-        shift = _vec_median(col_effects)
-        col_effects -= shift
+        shift = _median(col_effects)
+        col_effects -= shift[:, None]
         overall += shift
 
-        filled = np.where(present, resid, np.inf)
-        col_med = _masked_axis_median(filled, counts_col, axis=0)
-        resid -= col_med[None, :]
+        col_med = _masked_median(np.where(present, resid, np.inf).transpose(0, 2, 1), counts_col)
+        resid -= col_med[:, None, :]
         col_effects += col_med
-        shift = _vec_median(row_effects)
-        row_effects -= shift
+        shift = _median(row_effects)
+        row_effects -= shift[:, None]
         overall += shift
 
-        converged, row_med = _post_sweep_state(resid, present, counts_row, counts_col,
-                                               row_effects, col_effects, tol)
-        if converged:
-            break
+        # the next sweep starts by removing exactly these row medians
+        filled = np.where(present, resid, np.inf)
+        row_med = _masked_median(filled, counts_row)
+        col_med = _masked_median(filled.transpose(0, 2, 1), counts_col)
+        done = (np.abs(row_med).max(axis=1) <= tol) & (np.abs(col_med).max(axis=1) <= tol)
+        if done.any():
+            done &= (np.abs(_median(row_effects)) <= tol) & (np.abs(_median(col_effects)) <= tol)
+        if done.any() or sweep == max_sweeps:
+            for dst, src in zip(out, (overall, row_effects, col_effects, sweep, done)):
+                dst[active] = src
+            active, tol, resid, present, counts_row, counts_col = (
+                a[~done] for a in (active, tol, resid, present, counts_row, counts_col))
+            overall, row_effects, col_effects, row_med = (
+                a[~done] for a in (overall, row_effects, col_effects, row_med))
+    return out
 
-    return polish_from_effects(cells, float(overall), row_effects, col_effects,
-                               sweeps, converged)
+
+def decompose(grid, tol=None, max_sweeps=100):
+    """Median polish (polish_stack) of one GridTable; on exhausting max_sweeps
+    converged is False, and the decomposition identity holds regardless."""
+    overall, row_effects, col_effects, sweeps, converged = polish_stack(
+        grid.cells[None], tol, max_sweeps)
+    return polish_from_effects(grid.cells, float(overall[0]), row_effects[0], col_effects[0],
+                               int(sweeps[0]), bool(converged[0]))
 
 
 def polish_from_effects(cells, overall, row_effects, col_effects, sweeps, converged):

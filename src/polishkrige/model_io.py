@@ -5,7 +5,8 @@ line, then bracketed sections of whitespace-separated key/value or record
 lines.  Floats are written with repr, which round-trips exactly, so
 save -> load -> save is byte-identical.  Each fact is stored once: the
 residuals (cell minus fitted effects), the spline centres (the present
-cells) and the spline ridge (config epsilon) are rebuilt on load.
+cells, in lattice units), the spline ridge (config epsilon), the variogram
+family (config family) and its degenerate flag (a zero sill) are rebuilt.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .median_polish import polish_from_effects, residuals_as_scatter
 from .predictor import FitConfig, SurfaceModel
 from .spatial_core import GridLattice, GridTable
 
-SIGNATURE = "polishkrige-model 2"
+SIGNATURE = "polishkrige-model 3"
 
 
 def _fmt(v):
@@ -59,11 +60,9 @@ def save_model(model, path):
     lines.append(f"converged {int(polish.converged)}")
 
     lines.append("[variogram]")
-    lines.append(f"family {vg.family}")
     lines.append(f"nugget {_fmt(vg.nugget)}")
     lines.append(f"partial_sill {_fmt(vg.partial_sill)}")
     lines.append(f"range {_fmt(vg.range)}")
-    lines.append(f"degenerate {int(vg.degenerate)}")
 
     if model.method == "impk":
         lines.append("[spline]")
@@ -139,7 +138,7 @@ def load_model(path):
     """Read a SurfaceModel back from a file written by save_model.
 
     Raises ModelFormatError for a missing file, wrong signature (including
-    the version 1 format, which must be refitted), or any malformed or
+    the version 1 and 2 formats, which must be refitted), or any malformed or
     invalid section; messages carry the offending line number or the path.
     """
     try:
@@ -181,15 +180,6 @@ def load_model(path):
             bool(int(pkv["converged"])),
         )
 
-        vkv = _keyed(sections["variogram"], "variogram")
-        variogram = VariogramModel(
-            family=vkv["family"],
-            nugget=float(vkv["nugget"]),
-            partial_sill=float(vkv["partial_sill"]),
-            range=float(vkv["range"]),
-            degenerate=bool(int(vkv["degenerate"])),
-        )
-
         ckv = _keyed(sections["config"], "config")
         config = FitConfig(
             method=method,
@@ -203,11 +193,17 @@ def load_model(path):
             neighborhood=_opt_int(ckv["neighborhood"]),
         )
 
+        vkv = _keyed(sections["variogram"], "variogram")
+        nugget, psill = float(vkv["nugget"]), float(vkv["partial_sill"])
+        variogram = VariogramModel(config.family, nugget, psill, float(vkv["range"]),
+                                   degenerate=nugget + psill == 0)
+
         residual_scatter = residuals_as_scatter(polish, lattice)
         spline = None
         if method == "impk":
             strengths = _floats(_keyed(sections["spline"], "spline")["strengths"])
-            spline = BiharmonicModel(2, residual_scatter.coords, strengths, config.epsilon)
+            spline = BiharmonicModel(2, residual_scatter.coords / lattice.spacing, strengths,
+                                     config.epsilon)
     except (KeyError, ValueError, DataError, GridStructureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
 

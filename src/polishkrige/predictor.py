@@ -4,9 +4,10 @@ Both methods decompose the gridded data by median polish and krige the
 residuals; they differ only in how the fitted node means are carried off
 the lattice.  MPK interpolates the effect vectors piecewise-linearly, IMPK
 adds the overall level to a biharmonic spline through the row plus column
-effects at the observed cells.  Prediction is mean plus kriged residual;
-reported variance is the kriging variance of the residual part (the mean
-surface is treated as fixed).
+effects at the observed cells, in units of the lattice spacing so that
+rescaling the coordinates changes nothing.  Prediction is mean plus kriged
+residual; reported variance is the kriging variance of the residual part
+(the mean surface is treated as fixed).
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .kriging import (
 )
 from .mean_surface import (
     LinearMeanModel,
+    biharmonic_deletions,
     biharmonic_eval_many,
     biharmonic_fit,
     linear_mean_many,
 )
-from .median_polish import decompose, residuals_as_scatter
+from .median_polish import decompose, polish_from_effects, polish_stack, residuals_as_scatter
 from .spatial_core import GridLattice, Location2D, _frozen
 
 METHODS = ("mpk", "impk")
@@ -102,7 +104,8 @@ class SurfaceModel:
         """Mean-surface values at an (M, 2) array of locations."""
         if self.method == "mpk":
             return linear_mean_many(self.mean_component, points)
-        return self.polish.overall + biharmonic_eval_many(self.mean_component, points)
+        spacing = self.source_grid.lattice.spacing
+        return self.polish.overall + biharmonic_eval_many(self.mean_component, points / spacing)
 
 
 def fit(grid, method, config=None, variogram=None):
@@ -127,15 +130,17 @@ def fit(grid, method, config=None, variogram=None):
     if method == "impk":
         rows, cols = np.nonzero(grid.present_mask)
         effects = polish.row_effects[rows] + polish.col_effects[cols]
-        spline = biharmonic_fit(residual_scatter.coords, effects, config.epsilon)
+        spline = biharmonic_fit(residual_scatter.coords / grid.lattice.spacing, effects,
+                                config.epsilon)
 
     if variogram is None:
-        emp = empirical_semivariogram(
-            residual_scatter, n_bins=config.n_bins, max_lag=config.max_lag
-        )
-        variogram = fit_variogram(emp, family=config.family)
-
+        variogram = _fit_residual_variogram(residual_scatter, config)
     return SurfaceModel(grid, config, polish, residual_scatter, variogram, spline)
+
+
+def _fit_residual_variogram(scatter, config):
+    emp = empirical_semivariogram(scatter, n_bins=config.n_bins, max_lag=config.max_lag)
+    return fit_variogram(emp, family=config.family)
 
 
 def predict_many(model, points):
@@ -205,6 +210,7 @@ class CvRecord:
     observed: float
     predicted: float
     error: float
+    variance: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -215,18 +221,26 @@ class SkippedFold:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Leave-one-out results: one record per completed fold, in row-major
-    cell order, plus the folds that could not run and why."""
+    """Leave-one-out results: one record per completed fold (row-major cell
+    order, with the residual-kriging variance), the folds that could not run
+    and why, and how many completed folds hit max_sweeps in median polish."""
 
     method: str
     per_point: tuple
     skipped: tuple
     rmse: float
     config: FitConfig
+    unconverged: int = 0
 
     @property
     def n_folds(self):
         return len(self.per_point)
+
+    @property
+    def msse(self):
+        """Mean squared standardized error, error**2 / variance."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.mean([np.float64(r.error)**2 / r.variance for r in self.per_point]))
 
 
 def rmse(errors):
@@ -238,60 +252,82 @@ def rmse(errors):
 
 
 def loocv(grid, method, config=None):
-    """Leave-one-out cross-validation with a full per-fold refit.
+    """Leave-one-out cross-validation of one method (see cross_validate)."""
+    return cross_validate(grid, (method,), config)[0]
 
-    Every present cell is deleted in turn (row-major order), the entire
-    pipeline is refitted on the remaining cells, and the deleted value is
-    predicted at its node.  Folds whose deletion would empty a row or a
-    column are skipped and reported, as are folds whose refit fails; both
-    appear in the report's skipped list with a reason.
-    """
+
+def _polished_folds(grid, rows, cols, config):
+    """The polish of the grid less each cell (rows[j], cols[j]), by stacks of 2**20 cells."""
+    step = max(1, 2**20 // grid.cells.size)
+    for lo in range(0, len(rows), step):
+        tables = np.repeat(grid.cells[None], len(rows[lo:lo + step]), axis=0)
+        tables[np.arange(len(tables)), rows[lo:lo + step], cols[lo:lo + step]] = np.nan
+        polished = polish_stack(tables, config.mp_tol, config.max_sweeps)
+        for table, overall, row, col, sweeps, done in zip(tables, *polished):
+            yield polish_from_effects(table, float(overall), row, col, int(sweeps), bool(done))
+
+
+def cross_validate(grid, methods, config=None):
+    """Leave-one-out cross-validation of several methods in one fold pass:
+    one CvReport per method.
+
+    Every present cell is deleted in turn (row-major order) and predicted at
+    its node as a refit without it would.  The fold tables are polished as
+    stacks; each fold's residual variogram and kriging serve every method,
+    and the impk fold spline comes from one factorization.  Folds whose
+    deletion would empty a row or column, or whose refit fails, are skipped
+    with a reason, in fit's failure order: spline, then residual part."""
     config = config or FitConfig()
-    if config.method != method:
-        config = replace(config, method=method)
+    configs = [replace(config, method=m) for m in methods]
+    frozen = fit(grid, "mpk", config).variogram if config.freeze_variogram else None
+    lat, present = grid.lattice, grid.present_mask
+    rows, cols = np.nonzero(present)
+    row_counts, col_counts = present.sum(axis=1), present.sum(axis=0)
+    usable = (row_counts[rows] >= 2) & (col_counts[cols] >= 2)
+    polished = _polished_folds(grid, rows[usable], cols[usable], config)
+    if "impk" in methods:
+        deletion = biharmonic_deletions(grid.to_scatter().coords / lat.spacing, config.epsilon)
 
-    frozen_variogram = None
-    if config.freeze_variogram:
-        frozen_variogram = fit(grid, method, config).variogram
-
-    present = grid.present_mask
-    row_counts = present.sum(axis=1)
-    col_counts = present.sum(axis=0)
-    lat = grid.lattice
-
-    records = []
-    skipped = []
-    for k, l in zip(*np.nonzero(present)):
-        node = lat.node(k, l)
-        if row_counts[k] < 2:
-            skipped.append(SkippedFold(node, f"deletion empties row {k}"))
-            continue
-        if col_counts[l] < 2:
-            skipped.append(SkippedFold(node, f"deletion empties column {l}"))
-            continue
-        observed = float(grid.cells[k, l])
+    def outcomes(polish, i, xy):
+        """{method: (value, variance) or skip reason} for deleted cell i."""
+        means, reasons = {}, {}
         try:
-            reduced = grid.drop_cell(k, l)
-            model = fit(reduced, method, config, variogram=frozen_variogram)
-            pred = predict(model, node)
+            scatter = residuals_as_scatter(polish, lat)
+            if "mpk" in methods:
+                means["mpk"] = linear_mean_many(LinearMeanModel(polish, lat), xy)[0]
+            if "impk" in methods:
+                try:
+                    w = polish.row_effects[rows] + polish.col_effects[cols]
+                    means["impk"] = polish.overall + deletion(i, w)
+                except PolishKrigeError as exc:
+                    reasons["impk"] = f"{exc.category}: {exc}"
+            variogram = frozen or _fit_residual_variogram(scatter, config)
+            resid, var = KrigingSystem(scatter, variogram, config.neighborhood).predict_many(xy)
         except PolishKrigeError as exc:
-            skipped.append(SkippedFold(node, f"{exc.category}: {exc}"))
-            continue
-        records.append(
-            CvRecord(
-                location=node,
-                observed=observed,
-                predicted=pred.value,
-                error=pred.value - observed,
-            )
-        )
+            return {m: reasons.get(m, f"{exc.category}: {exc}") for m in methods}
+        return {m: reasons.get(m) or (float(means[m] + resid[0]), float(var[0]))
+                for m in methods}
 
-    if not records:
+    records, skipped = {m: [] for m in methods}, {m: [] for m in methods}
+    unconverged = dict.fromkeys(methods, 0)
+    for i, (k, l) in enumerate(zip(rows, cols)):
+        node, observed = lat.node(k, l), float(grid.cells[k, l])
+        if usable[i]:
+            polish = next(polished)
+            fold = outcomes(polish, i, np.array([[node.x, node.y]]))
+        else:
+            fold = dict.fromkeys(methods, f"deletion empties row {k}" if row_counts[k] < 2
+                                 else f"deletion empties column {l}")
+        for m, outcome in fold.items():
+            if isinstance(outcome, str):
+                skipped[m].append(SkippedFold(node, outcome))
+                continue
+            value, variance = outcome
+            records[m].append(CvRecord(node, observed, value, value - observed, variance))
+            unconverged[m] += not polish.converged
+
+    if not all(records.values()):
         raise DataError("no completed cross-validation folds")
-    return CvReport(
-        method=method,
-        per_point=tuple(records),
-        skipped=tuple(skipped),
-        rmse=rmse([r.error for r in records]),
-        config=config,
-    )
+    return [CvReport(c.method, tuple(records[c.method]), tuple(skipped[c.method]),
+                     rmse([r.error for r in records[c.method]]), c, unconverged[c.method])
+            for c in configs]

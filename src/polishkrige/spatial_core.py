@@ -161,6 +161,11 @@ class GridLattice:
         """Number of rows."""
         return len(self.y_coords)
 
+    @property
+    def spacing(self):
+        """The smallest gap between adjacent nodes on either axis."""
+        return float(min(np.diff(self.x_coords).min(), np.diff(self.y_coords).min()))
+
     def node(self, k, l):
         """Location of the lattice node at row k, column l (0-based)."""
         return Location2D(float(self.x_coords[l]), float(self.y_coords[k]))

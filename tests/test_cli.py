@@ -1,4 +1,5 @@
 import argparse
+import pathlib
 import re
 
 import numpy as np
@@ -264,6 +265,14 @@ class TestCvCommand:
         impk = (tmp_path / "cv.impk.csv").read_text().splitlines()
         assert mpk[-1].startswith("RMSE,MPK,")
         assert impk[-1].startswith("RMSE,IMPK,")
+
+    def test_unconverged_folds_go_to_stderr(self, tmp_path, capsys):
+        coal = pathlib.Path(__file__).resolve().parent.parent / "data" / "coal_ash.csv"
+        assert run(["cv", coal, "--both", "--out", tmp_path / "cv.csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["unconverged folds (mpk): 2",
+                                             "unconverged folds (impk): 2"]
+        assert captured.out.splitlines()[1:] == ["MPK,1.579332,208,0", "IMPK,1.375924,208,0"]
 
     def test_rerun_is_byte_identical(self, csv_path, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polishkrige import GridLattice, GridTable, decompose, node_mean, residuals_as_scatter
+from polishkrige.median_polish import polish_stack
 
 
 def table(cells, x0=0.0, y0=0.0):
@@ -118,6 +119,57 @@ class TestDecompositionInvariants:
     def test_tol_zero_demands_exact_state(self):
         fit = decompose(table([[1.0, 3.0, 6.0], [2.0, 8.0, 4.0]]), tol=0.0)
         assert fit.converged  # this example reaches an exactly stationary state
+
+
+def reference_polish(cells, tol, max_sweeps):
+    """Median polish of one table with nanmedian, one sweep at a time."""
+    resid = np.array(cells)
+    row, col, overall = np.zeros(cells.shape[0]), np.zeros(cells.shape[1]), 0.0
+    for sweep in range(1, max_sweeps + 1):
+        m = np.nanmedian(resid, axis=1)
+        resid -= m[:, None]
+        row += m
+        shift = np.median(col)
+        col -= shift
+        overall += shift
+        m = np.nanmedian(resid, axis=0)
+        resid -= m[None, :]
+        col += m
+        shift = np.median(row)
+        row -= shift
+        overall += shift
+        worst = max(np.abs(np.nanmedian(resid, axis=1)).max(),
+                    np.abs(np.nanmedian(resid, axis=0)).max(),
+                    abs(np.median(row)), abs(np.median(col)))
+        if worst <= tol:
+            return overall, row, col, sweep, True
+    return overall, row, col, max_sweeps, False
+
+
+class TestStack:
+    @pytest.mark.parametrize("max_sweeps", [25, 100])
+    def test_each_table_is_polished_alone(self, rng, max_sweeps):
+        # masks, value scales and so sweep counts differ across the stack
+        grids = [random_holey_table(rng, 6, 7) for _ in range(12)]
+        cells = np.array([g.cells * 10.0 ** rng.integers(-3, 4) for g in grids])
+        stacked = polish_stack(cells, max_sweeps=max_sweeps)
+        assert len(set(stacked[3].tolist())) > 1
+        for b, table_cells in enumerate(cells):
+            tol = 1e-9 * (np.nanmax(table_cells) - np.nanmin(table_cells))
+            want = reference_polish(table_cells, tol, max_sweeps)
+            assert stacked[0][b] == want[0]
+            np.testing.assert_array_equal(stacked[1][b], want[1])
+            np.testing.assert_array_equal(stacked[2][b], want[2])
+            assert (stacked[3][b], stacked[4][b]) == want[3:]
+            fit = decompose(GridTable(grids[b].lattice, table_cells), max_sweeps=max_sweeps)
+            assert (fit.overall, fit.sweeps, fit.converged) == (want[0], *want[3:])
+
+    def test_shared_tolerance(self, rng):
+        cells = np.array([random_holey_table(rng, 5, 6).cells for _ in range(4)])
+        overall, row, col, sweeps, converged = polish_stack(cells, tol=1e-3)
+        for b in range(4):
+            want = reference_polish(cells[b], 1e-3, 100)
+            assert (overall[b], sweeps[b], converged[b]) == (want[0], *want[3:])
 
 
 class TestAccessors:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from polishkrige import FitConfig, ModelFormatError, fit, load_model, predict_many, save_model
+from polishkrige import (
+    FitConfig,
+    GridLattice,
+    GridTable,
+    ModelFormatError,
+    fit,
+    load_model,
+    predict_many,
+    save_model,
+)
 
 
 # every FitConfig field off its default, including the spline ridge epsilon
@@ -43,7 +52,7 @@ class TestRoundTrip:
         path = tmp_path / "surface.model"
         save_model(fitted, path)
         text = path.read_text()
-        assert text.splitlines()[0] == "polishkrige-model 2"
+        assert text.splitlines()[0] == "polishkrige-model 3"
         assert text.endswith("\n")
 
     def test_spline_ridge_survives(self, fitted, tmp_path):
@@ -62,6 +71,29 @@ class TestRoundTrip:
             spline = lines[lines.index("[spline]") + 1:lines.index("[config]")]
             assert [ln.split()[0] for ln in spline] == ["strengths"]
             assert len(spline[0].split()) == 1 + fitted.source_grid.n_present
+
+    def test_family_is_read_from_config(self, fitted, tmp_path):
+        path = tmp_path / "surface.model"
+        save_model(fitted, path)
+        lines = path.read_text().splitlines()
+        variogram = lines[lines.index("[variogram]") + 1:]
+        assert [ln.split()[0] for ln in variogram[:3]] == ["nugget", "partial_sill", "range"]
+        assert variogram[3].startswith("[")
+        other = "gaussian" if fitted.config.family != "gaussian" else "spherical"
+        lines[lines.index(f"family {fitted.config.family}")] = f"family {other}"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_model(path)
+        assert loaded.variogram.family == loaded.config.family == other
+        v, w = loaded.variogram, fitted.variogram
+        assert (v.nugget, v.partial_sill, v.range) == (w.nugget, w.partial_sill, w.range)
+
+    def test_degenerate_flag_is_a_zero_sill(self, tmp_path):
+        lat = GridLattice(np.arange(5.0), np.arange(4.0))
+        model = fit(GridTable(lat, np.full((4, 5), 3.25)), "mpk")
+        path = tmp_path / "flat.model"
+        save_model(model, path)
+        assert model.variogram.degenerate
+        assert load_model(path).variogram == model.variogram
 
     def test_save_load_save_is_stable(self, fitted, tmp_path):
         a = tmp_path / "one.model"
@@ -142,6 +174,14 @@ class TestFormatErrors:
         lines[target] = edit(lines[target])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match="bad.model"):
+            load_model(path)
+
+    def test_version_2_is_refused(self, holey_table, tmp_path):
+        lines = self.good_lines(holey_table, tmp_path)
+        lines[0] = "polishkrige-model 2"
+        path = tmp_path / "v2.model"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="v2.model"):
             load_model(path)
 
     def test_missing_file_reported_with_path(self, tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from polishkrige import (
     GridLattice,
     GridTable,
     Location2D,
+    PolishKrigeError,
     PredictionGrid,
     VariogramModel,
     covariance,
+    cross_validate,
     fit,
+    green_function,
     loocv,
     ok_predict,
     predict,
@@ -22,6 +26,49 @@ from polishkrige import (
     predict_many,
     rmse,
 )
+
+
+def thin_row_table():
+    """3 x 3 with a singleton row: one fold empties it, corner folds leave
+    too few lags for a variogram fit."""
+    lat = GridLattice([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+    cells = np.array([[1.0, 2.0, 3.0], [4.0, np.nan, np.nan], [5.0, 6.0, 7.0]])
+    return GridTable(lat, cells)
+
+
+def singular_ridge(grid, drop=None):
+    """A spline ridge that makes the Green system of the present cells (less
+    present cell drop) singular to rounding: minus its lowest eigenvalue."""
+    centers = np.delete(grid.to_scatter().coords / grid.lattice.spacing,
+                        [] if drop is None else [drop], axis=0)
+    return -np.linalg.eigvalsh(green_function(2, cdist(centers, centers)))[0]
+
+
+def refit_folds(grid, method, config):
+    """Per present cell (row-major): the prediction of a full refit without
+    it, or the reason the fold is skipped."""
+    frozen = fit(grid, method, config).variogram if config.freeze_variogram else None
+    present = grid.present_mask
+    out = []
+    for k, l in zip(*np.nonzero(present)):
+        if present[k].sum() < 2:
+            out.append(f"deletion empties row {k}")
+        elif present[:, l].sum() < 2:
+            out.append(f"deletion empties column {l}")
+        else:
+            try:
+                model = fit(grid.drop_cell(k, l), method, config, variogram=frozen)
+                out.append((predict(model, grid.lattice.node(k, l)), model.polish.converged))
+            except PolishKrigeError as exc:
+                out.append(f"{exc.category}: {exc}")
+    return out
+
+
+def report_folds(report, grid):
+    """The report's folds in row-major cell order: records and skip reasons."""
+    by_node = {r.location: r for r in report.per_point}
+    by_node.update({s.location: s.reason for s in report.skipped})
+    return [by_node[grid.lattice.node(k, l)] for k, l in zip(*np.nonzero(grid.present_mask))]
 
 
 def zero_nugget_like(model):
@@ -324,3 +371,74 @@ class TestResidualEngine:
         # set the memory per target
         model = fit(coal_ash_grid, "impk", FitConfig(neighborhood=100))
         assert self.peak(model, (40, 40)) < 1.5 * self.peak(model, (20, 20))
+
+
+class TestCrossValidate:
+    """One fold pass for both methods equals a full refit per fold."""
+
+    @staticmethod
+    def assert_matches_refits(grid, config):
+        reports = cross_validate(grid, ("mpk", "impk"), config)
+        assert [r.method for r in reports] == ["mpk", "impk"]
+        for report in reports:
+            assert report.config == replace(config, method=report.method)
+            want = refit_folds(grid, report.method, report.config)
+            got = report_folds(report, grid)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if isinstance(w, str):
+                    assert g == w
+                    continue
+                pred, _ = w
+                assert g.predicted == pytest.approx(pred.value, rel=1e-9, abs=1e-12)
+                assert g.error == g.predicted - g.observed
+                assert g.variance == pytest.approx(pred.variance, rel=1e-9, abs=1e-12)
+            assert report.unconverged == sum(1 for w in want if not isinstance(w, str)
+                                             and not w[1])
+        return reports
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_holey_table_matches_refits(self, holey_table, family, freeze):
+        config = FitConfig(family=family, freeze_variogram=freeze)
+        mpk, impk = self.assert_matches_refits(holey_table, config)
+        # the methods share the residual model
+        assert [r.variance for r in mpk.per_point] == [r.variance for r in impk.per_point]
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_thin_row_table_matches_refits(self, family, freeze):
+        mpk, impk = self.assert_matches_refits(
+            thin_row_table(), FitConfig(family=family, freeze_variogram=freeze))
+        assert mpk.n_folds == impk.n_folds == 2
+        assert len(mpk.skipped) == len(impk.skipped) == 5
+
+    @pytest.mark.parametrize("drop", [7, None], ids=["singular-fold", "singular-full-set"])
+    def test_spline_deletion_guard_falls_back(self, holey_table, drop):
+        config = FitConfig(epsilon=singular_ridge(holey_table, drop))
+        mpk, impk = self.assert_matches_refits(holey_table, config)
+        assert mpk.n_folds == holey_table.n_present
+        if drop is None:
+            assert impk.n_folds == holey_table.n_present
+        else:
+            assert [s.reason.split(" (")[0] for s in impk.skipped] == [
+                "singular-system: green-function system is numerically singular"]
+
+    def test_one_method_is_loocv(self, holey_table):
+        both = cross_validate(holey_table, ("mpk", "impk"))
+        assert [loocv(holey_table, "mpk"), loocv(holey_table, "impk")] == both
+
+    def test_coal_ash_reports_unconverged_folds(self, coal_ash_grid):
+        reports = cross_validate(coal_ash_grid, ("mpk", "impk"))
+        assert [r.unconverged for r in reports] == [2, 2]
+        assert [r.n_folds for r in reports] == [208, 208]
+
+    def test_msse_by_hand(self, holey_table):
+        report = loocv(holey_table, "impk")
+        folds = [w for w in refit_folds(holey_table, "impk", FitConfig(method="impk"))
+                 if not isinstance(w, str)]
+        observed = holey_table.cells[holey_table.present_mask]
+        ratios = [(pred.value - obs) ** 2 / pred.variance
+                  for (pred, _), obs in zip(folds, observed)]
+        assert len(ratios) == report.n_folds == holey_table.n_present
+        assert report.msse == pytest.approx(sum(ratios) / len(ratios), rel=1e-9)
