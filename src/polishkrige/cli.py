@@ -120,23 +120,25 @@ def build_config(args):
 
 
 def write_lines(lines, path=None):
-    """Write lines joined by newlines, with a trailing newline, to a file
-    or standard output."""
-    text = "\n".join(lines) + "\n"
+    """Write each string followed by a newline, one at a time, to a file or
+    standard output."""
+    text = (line + "\n" for line in lines)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(text)
 
 
 def grid_csv_lines(lattice, array):
-    """Long-format x,y,value lines in row-major order."""
+    """Long-format x,y,value lines in row-major order: the header, then one
+    string per lattice row holding that row's lines."""
+    x_prefixes = [f"{x:.6f}," for x in lattice.x_coords]
     lines = ["x,y,value"]
-    for k in range(lattice.p):
-        y = lattice.y_coords[k]
-        for l in range(lattice.q):
-            lines.append(f"{_fmt6(lattice.x_coords[l])},{_fmt6(y)},{_fmt6(array[k, l])}")
+    for y, row in zip(lattice.y_coords, array):
+        rest = f"{y:.6f},%.6f"
+        template = "\n".join([x + rest for x in x_prefixes])
+        lines.append(template % tuple(row.tolist()))
     return lines
 
 
@@ -149,10 +151,8 @@ def pgm_lines(array):
     else:
         scaled = np.zeros(array.shape, dtype=int)
     p, q = array.shape
-    lines = ["P2", f"{q} {p}", "255"]
-    for row in scaled[::-1]:
-        lines.append(" ".join(str(v) for v in row))
-    return lines
+    template = " ".join(["%d"] * q)
+    return ["P2", f"{q} {p}", "255"] + [template % tuple(row) for row in scaled[::-1].tolist()]
 
 
 def render_cv_csv(report):

@@ -2,13 +2,17 @@
 
 The empirical semivariogram is the method-of-moments estimator on distance
 bins; parametric models (spherical, exponential, gaussian) are fitted by
-pair-count-weighted least squares.  Ordinary kriging solves the augmented
-covariance system with a Lagrange multiplier enforcing weights that sum to
-one, so predictions are unbiased for an unknown constant mean.
+pair-count-weighted least squares.  Ordinary kriging weights sum to one
+(a Lagrange multiplier enforces it), so predictions are unbiased for an
+unknown constant mean.
 
 KrigingSystem is the one engine behind ok_solve, ok_predict and the surface
-predictors: a sill-scaled system, factored once globally or solved per
-target over its k nearest points in stacked batches of targets.
+predictors, on the sill-scaled covariance C.  Over all points it is dual
+kriging (Cressie 1993, ch. 3): one Cholesky factor C = L L^T gives the
+generalized-least-squares mean m and the dual weights alpha = C^-1 (z - m),
+so a value is m + alpha . c in O(n) per target and a variance needs one
+triangular solve L^-1 c.  Over the k nearest points it solves the augmented
+systems [[C, 1], [1^T, 0]] per target, stacked in batches of targets.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_solve
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DataError, PolishKrigeError, SingularSystemError
-from .numerics import RCOND_FLOOR, factor_checked
+from .numerics import RCOND_FLOOR, cholesky_checked
 from .spatial_core import _frozen
 
 FAMILIES = ("spherical", "exponential", "gaussian")
@@ -167,7 +171,40 @@ def semivariance(model, h):
 
 def covariance(model, h):
     """C(h) = sill - gamma(h); C(0) is the full sill including the nugget."""
-    return model.sill - semivariance(model, h)
+    h = np.array(h, dtype=np.float64)
+    if np.any(h < 0):
+        raise DataError("negative lag distance")
+    c = _covariance_over(model, h)
+    return c if c.ndim else float(c)
+
+
+def _covariance_over(model, h):
+    """covariance(model, h) for a float array of distances h >= 0 that this
+    module computed itself: h is overwritten and returned, with one
+    temporary of its size for the spherical family and none otherwise.
+
+    Away from 0 the covariance is psill * rho(h / range) with rho the
+    correlation of the family; a distance of exactly 0 gets the full sill.
+    """
+    zero = h == 0 if model.nugget else None
+    np.divide(h, model.range, out=h)
+    if model.family == "spherical":
+        # rho = 1 - 1.5 u + 0.5 u^3 = (1 - u)^2 (1 + u / 2), exactly 0 from u = 1 on
+        np.minimum(h, 1.0, out=h)
+        tail = np.subtract(1.0, h)
+        tail *= tail
+        h *= 0.5
+        h += 1.0
+        h *= tail
+    else:
+        if model.family == "gaussian":
+            np.square(h, out=h)
+        h *= -3.0
+        np.exp(h, out=h)
+    h *= model.partial_sill
+    if zero is not None:
+        h[zero] = model.sill
+    return h
 
 
 def fit_variogram(emp, family="spherical"):
@@ -235,17 +272,24 @@ def fit_variogram(emp, family="spherical"):
     return VariogramModel(family, float(nug[j]), float(psill[j]), float(ranges[j]))
 
 
+_ZERO_SILL = "zero-sill model has no unique kriging weights"
+
+
 class KrigingSystem:
     """The ordinary-kriging engine for one scatter and model.  Read-only.
 
-    Systems are [[C / sill, 1], [1^T, 0]], so they and their condition do
-    not depend on the units of the values.  Without a neighborhood below n,
-    one global system is LU-factored here and rcond is its estimate.
-    Otherwise rcond is None and each predict call stacks the systems over
-    every target's k nearest points (np.hypot distance, ties to the lower
-    scatter index), raising SingularSystemError if any rcond is below
-    RCOND_FLOOR.  target_floats is the float64 scratch per target of a
-    predict call.  A zero-sill model predicts zero only for zero values.
+    Everything is solved on the sill-scaled covariance C = covariance / sill,
+    so the systems and their condition do not depend on the units of the
+    values.  Without a neighborhood below n, C is Cholesky-factored here for
+    dual kriging (see the module docstring) and rcond is the 1-norm
+    reciprocal condition estimate of C itself, not of the augmented
+    system; a C that is not positive definite, or has rcond below
+    RCOND_FLOOR, raises SingularSystemError.  Otherwise rcond is None and
+    each predict call stacks the augmented systems over every target's k
+    nearest points (np.hypot distance, ties to the lower scatter index),
+    raising SingularSystemError if any rcond is below RCOND_FLOOR.
+    target_floats bounds the float64 scratch per target of a predict call.
+    A zero-sill model predicts zero only for zero values.
     """
 
     def __init__(self, scatter, model, neighborhood=None):
@@ -255,7 +299,11 @@ class KrigingSystem:
         self.scatter = scatter
         self.model = model
         self.neighborhood = None if neighborhood is None or neighborhood >= n else neighborhood
-        self.target_floats = n + 2 * (self.neighborhood + 1) ** 2 if self.neighborhood else n
+        # global: the target covariances and one kernel temporary; neighbourhood:
+        # four distance-sized arrays (np.hypot's differences, then the partition,
+        # tie count and masks) and the stacked systems
+        self.target_floats = (4 * n + 3 * (self.neighborhood + 1) ** 2 if self.neighborhood
+                              else 2 * n)
         self.rcond = None
         if model.sill == 0:
             return
@@ -263,38 +311,62 @@ class KrigingSystem:
                              partial_sill=model.partial_sill / model.sill)
         if self.neighborhood is not None:
             return
-        a = np.empty((n + 1, n + 1))
-        a[:n, :n] = covariance(self._unit, cdist(scatter.coords, scatter.coords))
-        a[n, :n] = 1.0
-        a[:n, n] = 1.0
-        a[n, n] = 0.0
-        self._lu, self.rcond = factor_checked(a, "ordinary-kriging system")
+        xy = scatter.coords
+        self._chol, self.rcond = cholesky_checked(
+            _covariance_over(self._unit, cdist(xy, xy)), "kriging covariance matrix")
+        self._u = self._lower_solve(np.ones(n))
+        self._uu = float(self._u @ self._u)
+        w = self._lower_solve(scatter.values)
+        self._mean = float(self._u @ w) / self._uu
+        self._alpha = self._lower_solve(w - self._mean * self._u, trans="T")
+
+    def _lower_solve(self, b, trans="N", overwrite=False):
+        """L^-1 b, or L^-T b with trans="T"."""
+        return solve_triangular(self._chol, b, trans=trans, lower=True,
+                                overwrite_b=overwrite, check_finite=False)
+
+    def _target_covariance(self, targets):
+        """Unit-sill covariances (n, m), Fortran-ordered, at (m, 2) targets."""
+        return _covariance_over(self._unit, cdist(targets, self.scatter.coords)).T
+
+    def _nearest(self, targets):
+        """(m, k) indices of every target's k nearest points, ascending: the
+        points strictly closer than the k-th distance, then those at exactly
+        that distance, lowest index first."""
+        k = self.neighborhood
+        xy = self.scatter.coords
+        d = np.hypot(xy[:, 0] - targets[:, :1], xy[:, 1] - targets[:, 1:])
+        kth = np.partition(d, k - 1, axis=1)[:, [k - 1]]
+        near = d < kth
+        tie = d == kth
+        need = k - np.count_nonzero(near, axis=1)[:, None]
+        near |= tie & (np.cumsum(tie, axis=1) <= need)
+        return np.nonzero(near)[1].reshape(len(targets), k)
 
     def _solve(self, targets):
         """Neighbourhood indices (m, k), or (1, n) for the global system,
         weights (m, k), unit-sill Lagrange multipliers (m,) and unit-sill
         target covariances (m, k) at an (m, 2) target array."""
         if self.model.sill == 0:
-            raise SingularSystemError("zero-sill model has no unique kriging weights", 0.0)
-        xy = self.scatter.coords
+            raise SingularSystemError(_ZERO_SILL, 0.0)
         if self.neighborhood is None:
-            n = self.scatter.n
-            b = np.empty((n + 1, len(targets)))
-            b[:n] = covariance(self._unit, cdist(xy, targets))
-            b[n] = 1.0
-            sol = lu_solve(self._lu, b, check_finite=False)
-            return np.arange(n)[None, :], sol[:n].T, sol[n], b[:n].T
+            # weights C^-1 (c + k 1) = L^-T (v + k u) with v = L^-1 c and
+            # multiplier -k, k = (1 - u.v) / u.u
+            c = self._target_covariance(targets)
+            v = self._lower_solve(c)
+            k = (1.0 - self._u @ v) / self._uu
+            lam = self._lower_solve(v + k * self._u[:, None], trans="T")
+            return np.arange(self.scatter.n)[None, :], lam.T, -k, c.T
 
         k = self.neighborhood
-        d = np.hypot(xy[:, 0] - targets[:, :1], xy[:, 1] - targets[:, 1:])
-        idx = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
-        pts = xy[idx]
+        idx = self._nearest(targets)
+        pts = self.scatter.coords[idx]
         a = np.ones((len(targets), k + 1, k + 1))
         pair_d = np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1)
-        a[:, :k, :k] = covariance(self._unit, pair_d)
+        a[:, :k, :k] = _covariance_over(self._unit, pair_d)
         a[:, k, k] = 0.0
         b = np.ones((len(targets), k + 1))
-        b[:, :k] = covariance(self._unit, np.linalg.norm(pts - targets[:, None], axis=-1))
+        b[:, :k] = _covariance_over(self._unit, np.linalg.norm(pts - targets[:, None], axis=-1))
         rcond = float(np.min(1.0 / np.linalg.cond(a, 1)))
         if not rcond >= RCOND_FLOOR:
             raise SingularSystemError(
@@ -307,11 +379,22 @@ class KrigingSystem:
     def predict_many(self, targets):
         """Predicted values and variances at an (m, 2) target array."""
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        if self.model.sill == 0 and not self.scatter.values.any():
+        if self.model.sill == 0:
+            if self.scatter.values.any():
+                raise SingularSystemError(_ZERO_SILL, 0.0)
             return np.zeros(len(targets)), np.zeros(len(targets))
-        idx, lam, mu, c = self._solve(targets)
-        values = np.einsum("mk,mk->m", lam, np.broadcast_to(self.scatter.values[idx], lam.shape))
-        unit_var = covariance(self._unit, 0.0) - np.einsum("mk,mk->m", lam, c) - mu
+        c0 = self._unit.sill
+        if self.neighborhood is None:
+            c = self._target_covariance(targets)
+            values = self._mean + self._alpha @ c
+            v = self._lower_solve(c, overwrite=True)
+            k = (1.0 - self._u @ v) / self._uu
+            unit_var = c0 - np.einsum("nm,nm->m", v, v) + k * k * self._uu
+        else:
+            idx, lam, mu, c = self._solve(targets)
+            values = np.einsum("mk,mk->m", lam,
+                               np.broadcast_to(self.scatter.values[idx], lam.shape))
+            unit_var = c0 - np.einsum("mk,mk->m", lam, c) - mu
         variances = self.model.sill * unit_var
         bad = unit_var < -1e-9
         if bad.any():
@@ -327,8 +410,8 @@ def ok_solve(scatter, model, target, neighborhood=None):
 
     neighborhood, if given, restricts the system to the k nearest scatter
     points (weights for excluded points are zero).  Raises
-    SingularSystemError when the augmented matrix is not solvable (duplicate
-    geometry, or a constant or zero-sill covariance model).
+    SingularSystemError when the system is not solvable (duplicate
+    geometry, or a nearly constant or zero-sill covariance model).
     """
     system = KrigingSystem(scatter, model, neighborhood)
     idx, lam, mu, _ = system._solve(np.array([[target.x, target.y]]))

@@ -32,26 +32,38 @@ def green_function(m, r):
     """
     if m not in (1, 2, 3, 4, 5, 6):
         raise DataError(f"green function dimension must be 1..6, got {m}")
-    r = np.asarray(r, dtype=np.float64)
+    r = np.array(r, dtype=np.float64)
     if np.any(r < 0):
         raise DataError("negative distance")
-    at_zero = r == 0
-    if m >= 4 and np.any(at_zero):
+    g = _green_over(m, r)
+    return g if g.ndim else float(g)
+
+
+def _green_over(m, r):
+    """green_function(m, r) for a float array of distances r >= 0 that this
+    module computed itself: r is overwritten and returned, with one
+    temporary of its size for m = 2 and none otherwise."""
+    if m >= 4 and not r.all():
         raise GreenSingularityError(f"green function m={m} is unbounded at r=0")
     with np.errstate(divide="ignore", invalid="ignore"):
         if m == 1:
-            g = r**3
+            np.power(r, 3, out=r)
         elif m == 2:
-            g = np.where(at_zero, 0.0, r * r * (np.log(np.where(at_zero, 1.0, r)) - 1.0))
-        elif m == 3:
-            g = r.copy()
+            r2 = r * r
+            # r = 0 is raised to the smallest normal float so that its log is
+            # finite; its r2 stays 0, giving the limit 0
+            np.maximum(r, np.finfo(np.float64).tiny, out=r)
+            np.log(r, out=r)
+            r -= 1.0
+            r *= r2
         elif m == 4:
-            g = np.log(r)
+            np.log(r, out=r)
         elif m == 5:
-            g = 1.0 / r
-        else:
-            g = 1.0 / (r * r)
-    return g if g.ndim else float(g)
+            np.divide(1.0, r, out=r)
+        elif m == 6:
+            np.multiply(r, r, out=r)
+            np.divide(1.0, r, out=r)
+    return r
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,7 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
         strengths = np.zeros(len(values))
         return BiharmonicModel(dimension, centers, strengths, float(regularization))
 
-    g = green_function(dimension, cdist(centers, centers))
+    g = _green_over(dimension, cdist(centers, centers))
     if regularization:
         g = g + regularization * np.eye(len(values))
     lu_piv, _ = factor_checked(g, "green-function system")
@@ -164,7 +176,7 @@ def biharmonic_deletions(centers, regularization=0.0):
     singular or |H[i, i]| cannot certify the reduced system's 1-norm rcond,
     at least |H[i, i]| / (|G| |H| (|H| + |H[i, i]|)), above RCOND_FLOOR."""
     n = len(centers)
-    g = green_function(2, cdist(centers, centers)) + regularization * np.eye(n)
+    g = _green_over(2, cdist(centers, centers)) + regularization * np.eye(n)
     try:
         h = lu_solve(factor_checked(g, "green-function system")[0], np.eye(n))
         g_norm, h_norm = np.linalg.norm(g, 1), np.linalg.norm(h, 1)
@@ -188,8 +200,7 @@ def biharmonic_eval(model, s):
 def biharmonic_eval_many(model, points):
     """Spline values at an (M, d) array of locations."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    r = cdist(points, model.centers)
-    return green_function(model.dimension, r) @ model.strengths
+    return _green_over(model.dimension, cdist(points, model.centers)) @ model.strengths
 
 
 @dataclass(frozen=True)

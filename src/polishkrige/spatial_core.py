@@ -312,7 +312,10 @@ def _snap_axis(values, tol):
     breaks = np.flatnonzero(np.diff(sorted_vals) > tol)
     starts = np.concatenate([[0], breaks + 1])
     ends = np.concatenate([breaks + 1, [len(sorted_vals)]])
-    nodes = np.array([sorted_vals[a:b].mean() for a, b in zip(starts, ends)])
+    # offsets from the cluster's first value average jitter yet keep a node
+    # whose values all agree exactly where it is
+    nodes = np.array([sorted_vals[a] + (sorted_vals[a:b] - sorted_vals[a]).mean()
+                      for a, b in zip(starts, ends)])
     idx = np.empty(len(values), dtype=np.intp)
     for node_i, (a, b) in enumerate(zip(starts, ends)):
         idx[order[a:b]] = node_i
@@ -324,7 +327,8 @@ def to_grid(scatter, snap_tolerance=None):
 
     Distinct x (and y) coordinates are clustered within ``snap_tolerance``
     (default: 1e-9 times the coordinate span) and each cluster becomes a
-    lattice node at the cluster mean; unvisited cells are missing.
+    lattice node at the cluster mean (exactly the shared value when its
+    coordinates agree); unvisited cells are missing.
 
     Raises:
         DuplicateLocationError: two observations snap to the same cell.

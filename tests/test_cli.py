@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from polishkrige import DataError, FitConfig, Location2D, load_model
+from polishkrige import DataError, FitConfig, GridLattice, Location2D, load_model
 from polishkrige.cli import (
+    grid_csv_lines,
     main,
     parse_config_file,
     parse_resolution,
@@ -211,6 +212,24 @@ class TestSurfaceCommand:
             raster = [int(v) for row in lines[3:] for v in row.split()]
             assert len(raster) == 30
             assert min(raster) == 0 and max(raster) == 255
+
+    def test_grid_csv_matches_per_value_formatting(self):
+        lattice = GridLattice([-1.25, 0.0, 0.1, 1e6 / 3], [-0.0, 2.0000005, 7.1234565])
+        values = np.array([[-0.0, 4e-7, -4e-7, 1e12],
+                           [0.0000005, 1.2345675, -2.5e-7, 0.1234565],
+                           [2.0000015, -1e12 / 7, 5e-7, -5e-7]])
+        want = ["x,y,value"] + [f"{x:.6f},{y:.6f},{v:.6f}"
+                                for y, row in zip(lattice.y_coords, values)
+                                for x, v in zip(lattice.x_coords, row)]
+        lines = grid_csv_lines(lattice, values)
+        assert isinstance(lines, list)
+        assert "\n".join(lines) == "\n".join(want)
+
+    def test_pgm_matches_per_value_formatting(self):
+        array = np.random.default_rng(5).normal(size=(7, 9))
+        scaled = np.rint((array - array.min()) / (array.max() - array.min()) * 255).astype(int)
+        want = ["P2", "9 7", "255"] + [" ".join(str(v) for v in row) for row in scaled[::-1]]
+        assert pgm_lines(array) == want
 
     def test_pgm_top_row_is_max_y(self):
         lines = pgm_lines(np.array([[0.0, 0.0], [0.0, 9.0]]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from conftest import mp_ok_reference, random_scatter
 from polishkrige import (
@@ -21,6 +22,7 @@ from polishkrige import (
     ok_solve,
     semivariance,
 )
+from polishkrige.numerics import cholesky_checked
 
 
 class TestEmpiricalVariogram:
@@ -361,3 +363,94 @@ class TestOrdinaryKriging:
         targets = np.vstack([scatter.coords, rng.uniform(0, 10, size=(20, 2))])
         _, variances = system.predict_many(targets)
         assert (variances >= 0).all()
+
+
+class TestDualKriging:
+    """The Cholesky dual-kriging global path against the augmented system."""
+
+    @staticmethod
+    def augmented_reference(scatter, model, targets):
+        n = scatter.n
+        a = np.ones((n + 1, n + 1))
+        a[:n, :n] = covariance(model, cdist(scatter.coords, scatter.coords))
+        a[n, n] = 0.0
+        b = np.ones((n + 1, len(targets)))
+        b[:n] = covariance(model, cdist(scatter.coords, targets))
+        sol = np.linalg.solve(a, b)
+        lam, mu = sol[:n], sol[n]
+        values = lam.T @ scatter.values
+        variances = model.sill - np.einsum("nm,nm->m", lam, b[:n]) - mu
+        return lam, mu, values, variances
+
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_matches_augmented_solve_on_coal_ash(self, coal_ash_grid, family):
+        model = fit(coal_ash_grid, "impk", FitConfig(family=family))
+        scatter, variogram = model.residual_scatter, model.variogram
+        lat = coal_ash_grid.lattice
+        # a surface lattice whose corners and some nodes are observed sites
+        gx, gy = np.meshgrid(np.linspace(lat.x_coords[0], lat.x_coords[-1], 31),
+                             np.linspace(lat.y_coords[0], lat.y_coords[-1], 23))
+        targets = np.column_stack([gx.ravel(), gy.ravel()])
+        assert (cdist(targets, scatter.coords) == 0).any()
+        lam, mu, want_values, want_variances = self.augmented_reference(
+            scatter, variogram, targets)
+        system = KrigingSystem(scatter, variogram)
+        values, variances = system.predict_many(targets)
+        np.testing.assert_allclose(values, want_values, rtol=1e-10,
+                                   atol=1e-10 * np.abs(scatter.values).max())
+        np.testing.assert_allclose(variances, np.maximum(want_variances, 0.0), rtol=1e-10,
+                                   atol=1e-10 * variogram.sill)
+        for j in (0, 17, len(targets) - 1):
+            w = ok_solve(scatter, variogram, Location2D(*targets[j]))
+            np.testing.assert_allclose(w.weights, lam[:, j], rtol=1e-9, atol=1e-12)
+            assert w.lagrange == pytest.approx(mu[j], rel=1e-9, abs=1e-12)
+
+    def test_not_positive_definite_covariance_is_singular(self, rng):
+        scatter = random_scatter(rng, 12)
+        with pytest.raises(SingularSystemError) as info:
+            KrigingSystem(scatter, VariogramModel("gaussian", 0.0, 1.0, 1e8))
+        assert info.value.condition == 0.0
+        assert "not positive definite" in str(info.value)
+
+    def test_global_rcond_is_that_of_the_covariance(self, rng):
+        scatter = random_scatter(rng, 9)
+        h = cdist(scatter.coords, scatter.coords)
+        unit = covariance(VariogramModel("exponential", 0.2 / 1.7, 1.5 / 1.7, 4.0), h)
+        rcond = KrigingSystem(scatter, VariogramModel("exponential", 0.2, 1.5, 4.0)).rcond
+        assert isinstance(rcond, float)
+        # LAPACK estimates the exact 1-norm value from above, within a small factor
+        exact = 1.0 / np.linalg.cond(unit, 1)
+        assert exact * (1 - 1e-9) <= rcond <= 10 * exact
+
+    @pytest.mark.parametrize("matrix, condition", [
+        ([[1.0, 2.0], [2.0, 1.0]], 0.0),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], None),
+    ])
+    def test_cholesky_check(self, matrix, condition):
+        with pytest.raises(SingularSystemError) as info:
+            cholesky_checked(np.array(matrix), "test matrix")
+        if condition is None:
+            assert 0.0 < info.value.condition < 1e-14
+        else:
+            assert info.value.condition == condition
+
+
+class TestNearestSelection:
+    """Linear-time k-nearest selection equals the stable-argsort reference."""
+
+    @pytest.mark.parametrize("k", [1, 4, 5, 16, 37])
+    def test_matches_argsort_with_exact_ties(self, rng, k):
+        ys, xs = np.mgrid[0:9, 0:11].astype(np.float64)
+        keep = rng.random(xs.size) > 0.1
+        scatter = ScatterSet(np.column_stack([xs.ravel(), ys.ravel()])[keep],
+                             rng.normal(size=int(keep.sum())))
+        # lattice nodes, cell centres and edge midpoints: exact distance ties
+        ty, tx = np.mgrid[-1:9.5:0.5, -1:11.5:0.5]
+        targets = np.column_stack([tx.ravel(), ty.ravel()])
+        system = KrigingSystem(scatter, VariogramModel("exponential", 0.1, 1.0, 5.0),
+                               neighborhood=k)
+        d = np.hypot(scatter.coords[:, 0] - targets[:, :1], scatter.coords[:, 1] - targets[:, 1:])
+        want = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
+        kth = np.sort(d, axis=1)[:, k - 1:k]
+        assert ((d <= kth).sum(axis=1) > k).any()
+        np.testing.assert_array_equal(system._nearest(targets), want)

@@ -158,6 +158,19 @@ class TestToGrid:
         assert grid.lattice.q == 2
         assert grid.lattice.p == 2
 
+    def test_exact_lattice_survives_a_csv_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        xs = np.cumsum(rng.uniform(0.1, 0.9, size=6)) + 0.1
+        ys = np.cumsum(rng.uniform(0.1, 0.9, size=7)) - 2.3
+        gy, gx = np.meshgrid(ys, xs, indexing="ij")
+        rows = [f"{x!r},{y!r},{v!r}" for x, y, v in
+                zip(gx.ravel().tolist(), gy.ravel().tolist(), rng.normal(size=gx.size).tolist())]
+        path = tmp_path / "lattice.csv"
+        path.write_text("\n".join(["x,y,z"] + rows) + "\n")
+        lattice = to_grid(load_observations_csv(path)).lattice
+        assert lattice.x_coords.tobytes() == xs.tobytes()
+        assert lattice.y_coords.tobytes() == ys.tobytes()
+
     def test_two_points_in_one_cell_rejected(self):
         # snapping with a broad tolerance would merge distinct observations
         s = ScatterSet([(0.0, 0.0), (0.2, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 1.0), (1.0, 1.0)],
