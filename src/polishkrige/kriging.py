@@ -12,7 +12,8 @@ kriging (Cressie 1993, ch. 3): one Cholesky factor C = L L^T gives the
 generalized-least-squares mean m and the dual weights alpha = C^-1 (z - m),
 so a value is m + alpha . c in O(n) per target and a variance needs one
 triangular solve L^-1 c.  Over the k nearest points it solves the augmented
-systems [[C, 1], [1^T, 0]] per target, stacked in batches of targets.
+systems [[C, 1], [1^T, 0]] per target, stacked in batches of targets, with
+each target's neighbours found through a KD-tree over the points.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize_scalar
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DataError, PolishKrigeError, SingularSystemError
-from .numerics import RCOND_FLOOR, cholesky_checked
+from .numerics import RCOND_FLOOR, cholesky_checked, row_blocks
 from .spatial_core import _frozen
 
 FAMILIES = ("spherical", "exponential", "gaussian")
@@ -122,7 +123,6 @@ def empirical_semivariogram(scatter, n_bins=15, max_lag=None):
         raise DataError("n_bins must be at least 1")
 
     d = pdist(scatter.coords)
-    sq = pdist(scatter.values[:, None], metric="sqeuclidean")
     if max_lag is None:
         max_lag = 0.5 * float(d.max())
     if not max_lag > 0:
@@ -130,14 +130,23 @@ def empirical_semivariogram(scatter, n_bins=15, max_lag=None):
 
     width = max_lag / n_bins
     # a pair within 1e-9 bin widths of an edge, max_lag included, goes to the
-    # lower bin, so lattice pairs on an edge keep their bin when coordinates scale
-    u = np.round(d / width, 9)
-    keep = (d > 0) & (u <= n_bins)
+    # lower bin, so lattice pairs on an edge keep their bin when coordinates
+    # scale; the distances become bin positions in place, so that one array
+    # over all pairs is held at a time
+    keep = d > 0
+    d /= width
+    np.round(d, 9, out=d)
+    keep &= d <= n_bins
     if not keep.any():
         raise DataError(f"no point pair within max_lag {max_lag:g}")
-    idx = np.clip(np.ceil(u[keep]).astype(int) - 1, 0, n_bins - 1)
+    d = d[keep]
+    idx = np.ceil(d, out=d).astype(int)
+    del d
+    idx -= 1
+    np.clip(idx, 0, n_bins - 1, out=idx)
     counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=sq[keep], minlength=n_bins)
+    sq = pdist(scatter.values[:, None], metric="sqeuclidean")[keep]
+    sums = np.bincount(idx, weights=sq, minlength=n_bins)
 
     retained = counts > 0
     centers = (np.flatnonzero(retained) + 0.5) * width
@@ -180,8 +189,9 @@ def covariance(model, h):
 
 def _covariance_over(model, h):
     """covariance(model, h) for a float array of distances h >= 0 that this
-    module computed itself: h is overwritten and returned, with one
-    temporary of its size for the spherical family and none otherwise.
+    module computed itself: h is overwritten and returned, with temporaries
+    only of one block of rows (numerics.row_blocks) for the spherical family
+    and none otherwise.
 
     Away from 0 the covariance is psill * rho(h / range) with rho the
     correlation of the family; a distance of exactly 0 gets the full sill.
@@ -191,11 +201,12 @@ def _covariance_over(model, h):
     if model.family == "spherical":
         # rho = 1 - 1.5 u + 0.5 u^3 = (1 - u)^2 (1 + u / 2), exactly 0 from u = 1 on
         np.minimum(h, 1.0, out=h)
-        tail = np.subtract(1.0, h)
-        tail *= tail
-        h *= 0.5
-        h += 1.0
-        h *= tail
+        for block in row_blocks(h):
+            tail = np.subtract(1.0, block)
+            tail *= tail
+            block *= 0.5
+            block += 1.0
+            block *= tail
     else:
         if model.family == "gaussian":
             np.square(h, out=h)
@@ -222,6 +233,9 @@ def fit_variogram(emp, family="spherical"):
     warning flag set.  Raises DataError for an unknown family or fewer than
     3 occupied bins.
     """
+    # imported here: loading a model and predicting never fit a variogram
+    from scipy.optimize import minimize_scalar
+
     if family not in FAMILIES:
         raise DataError(f"unknown variogram family {family!r}")
     if np.all(emp.gamma == 0):
@@ -299,17 +313,20 @@ class KrigingSystem:
         self.scatter = scatter
         self.model = model
         self.neighborhood = None if neighborhood is None or neighborhood >= n else neighborhood
-        # global: the target covariances and one kernel temporary; neighbourhood:
-        # four distance-sized arrays (np.hypot's differences, then the partition,
-        # tie count and masks) and the stacked systems
-        self.target_floats = (4 * n + 3 * (self.neighborhood + 1) ** 2 if self.neighborhood
-                              else 2 * n)
+        # global: the target covariances, which the triangular solve overwrites;
+        # neighbourhood: about six arrays over the 2k candidates (tree distances
+        # and indices, coordinate differences, np.hypot, the partition, the tie
+        # count) and the stacked systems.  Only a target with k + 1 or more
+        # points at its k-th distance, to rounding, is retried with more.
+        self.target_floats = (12 * self.neighborhood + 3 * (self.neighborhood + 1) ** 2
+                              if self.neighborhood else n)
         self.rcond = None
         if model.sill == 0:
             return
         self._unit = replace(model, nugget=model.nugget / model.sill,
                              partial_sill=model.partial_sill / model.sill)
         if self.neighborhood is not None:
+            self._tree = cKDTree(scatter.coords)
             return
         xy = scatter.coords
         self._chol, self.rcond = cholesky_checked(
@@ -331,17 +348,40 @@ class KrigingSystem:
 
     def _nearest(self, targets):
         """(m, k) indices of every target's k nearest points, ascending: the
-        points strictly closer than the k-th distance, then those at exactly
-        that distance, lowest index first."""
-        k = self.neighborhood
-        xy = self.scatter.coords
-        d = np.hypot(xy[:, 0] - targets[:, :1], xy[:, 1] - targets[:, 1:])
-        kth = np.partition(d, k - 1, axis=1)[:, [k - 1]]
-        near = d < kth
-        tie = d == kth
-        need = k - np.count_nonzero(near, axis=1)[:, None]
-        near |= tie & (np.cumsum(tie, axis=1) <= need)
-        return np.nonzero(near)[1].reshape(len(targets), k)
+        points strictly closer than the k-th np.hypot distance, then those at
+        exactly that distance, lowest index first.
+
+        The rule is applied to each target's c = 2k nearest candidates from
+        the tree, taken in index order and measured again by np.hypot.  No
+        point outside them is closer than the tree's c-th distance, so a
+        target is settled once that distance exceeds the k-th by more than
+        rounding can explain; the others are retried with twice as many
+        candidates, and at c >= n the candidates are all the points.
+        """
+        k, xy, n = self.neighborhood, self.scatter.coords, self.scatter.n
+        out = np.empty((len(targets), k), dtype=np.intp)
+        todo, c = np.arange(len(targets)), 2 * k
+        while len(todo):
+            t = targets[todo]
+            if c < n:
+                far, cand = self._tree.query(t, c)
+                # a squared distance that overflows comes back as index n at
+                # distance inf; such a target is never settled here
+                np.minimum(cand, n - 1, out=cand)
+                cand.sort(axis=1)
+            else:
+                cand = np.broadcast_to(np.arange(n), (len(t), n))
+            d = np.hypot(xy[cand, 0] - t[:, :1], xy[cand, 1] - t[:, 1:])
+            kth = np.partition(d, k - 1, axis=1)[:, [k - 1]]
+            near = d < kth
+            tie = d == kth
+            need = k - np.count_nonzero(near, axis=1)[:, None]
+            near |= tie & (np.cumsum(tie, axis=1) <= need)
+            settled = (np.ones(len(t), dtype=bool) if c >= n else
+                       (far[:, -1] > kth[:, 0] * (1 + 1e-9)) & (far[:, -1] < np.inf))
+            out[todo[settled]] = cand[settled][near[settled]].reshape(-1, k)
+            todo, c = todo[~settled], 2 * c
+        return out
 
     def _solve(self, targets):
         """Neighbourhood indices (m, k), or (1, n) for the global system,
@@ -377,8 +417,11 @@ class KrigingSystem:
         return idx, sol[:, :k], sol[:, k], b[:, :k]
 
     def predict_many(self, targets):
-        """Predicted values and variances at an (m, 2) target array."""
+        """Predicted values and variances at an (m, 2) target array of finite
+        coordinates (DataError otherwise)."""
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        if not np.isfinite(targets).all():
+            raise DataError("non-finite target coordinate")
         if self.model.sill == 0:
             if self.scatter.values.any():
                 raise SingularSystemError(_ZERO_SILL, 0.0)

@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import DataError, DuplicateLocationError, GreenSingularityError, SingularSystemError
 from .median_polish import MedianPolishFit
-from .numerics import RCOND_FLOOR, factor_checked
+from .numerics import RCOND_FLOOR, factor_checked, row_blocks
 from .spatial_core import GridLattice, _frozen, axis_cells
 
 
@@ -41,21 +41,23 @@ def green_function(m, r):
 
 def _green_over(m, r):
     """green_function(m, r) for a float array of distances r >= 0 that this
-    module computed itself: r is overwritten and returned, with one
-    temporary of its size for m = 2 and none otherwise."""
+    module computed itself: r is overwritten and returned, with temporaries
+    only of one block of rows (numerics.row_blocks) for m = 2 and none
+    otherwise."""
     if m >= 4 and not r.all():
         raise GreenSingularityError(f"green function m={m} is unbounded at r=0")
     with np.errstate(divide="ignore", invalid="ignore"):
         if m == 1:
             np.power(r, 3, out=r)
         elif m == 2:
-            r2 = r * r
-            # r = 0 is raised to the smallest normal float so that its log is
-            # finite; its r2 stays 0, giving the limit 0
-            np.maximum(r, np.finfo(np.float64).tiny, out=r)
-            np.log(r, out=r)
-            r -= 1.0
-            r *= r2
+            for block in row_blocks(r):
+                r2 = block * block
+                # r = 0 is raised to the smallest normal float so that its log
+                # is finite; its r2 stays 0, giving the limit 0
+                np.maximum(block, np.finfo(np.float64).tiny, out=block)
+                np.log(block, out=block)
+                block -= 1.0
+                block *= r2
         elif m == 4:
             np.log(r, out=r)
         elif m == 5:
@@ -160,9 +162,10 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
         strengths = np.zeros(len(values))
         return BiharmonicModel(dimension, centers, strengths, float(regularization))
 
+    # G is built, regularized and LU-factored over one n x n array
     g = _green_over(dimension, cdist(centers, centers))
     if regularization:
-        g = g + regularization * np.eye(len(values))
+        g.flat[::len(g) + 1] += regularization
     lu_piv, _ = factor_checked(g, "green-function system")
     strengths = lu_solve(lu_piv, values, check_finite=False)
     return BiharmonicModel(dimension, centers, strengths, float(regularization))
@@ -177,9 +180,10 @@ def biharmonic_deletions(centers, regularization=0.0):
     at least |H[i, i]| / (|G| |H| (|H| + |H[i, i]|)), above RCOND_FLOOR."""
     n = len(centers)
     g = _green_over(2, cdist(centers, centers)) + regularization * np.eye(n)
+    g_norm = np.linalg.norm(g, 1)
     try:
         h = lu_solve(factor_checked(g, "green-function system")[0], np.eye(n))
-        g_norm, h_norm = np.linalg.norm(g, 1), np.linalg.norm(h, 1)
+        h_norm = np.linalg.norm(h, 1)
     except SingularSystemError:
         h = None
 

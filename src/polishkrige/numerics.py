@@ -14,19 +14,41 @@ from .errors import SingularSystemError
 RCOND_FLOOR = 1e-14
 
 
-def factor_checked(a, what):
-    """LU-factor a square matrix, raising SingularSystemError when it is
-    numerically unusable.
+def row_blocks(a):
+    """Views of a in consecutive slices along its first axis of about 2**16
+    elements each (at least one row); a 0-d a is one block.  Lets an
+    elementwise kernel keep its temporaries small."""
+    if a.ndim == 0:
+        yield a[...]
+        return
+    step = max(1, 2**16 * len(a) // max(a.size, 1))
+    for lo in range(0, len(a), step):
+        yield a[lo:lo + step]
 
-    Returns (lu_piv, rcond) where lu_piv feeds scipy.linalg.lu_solve and
-    rcond is LAPACK's 1-norm reciprocal condition estimate.
+
+def symmetric_norm1(a):
+    """The 1-norm of a symmetric matrix: its largest absolute row sum, taken
+    by blocks of rows so that |a| is never held whole."""
+    return float(np.max([np.abs(b).sum(axis=1).max() for b in row_blocks(a)]))
+
+
+def factor_checked(a, what):
+    """LU-factor a symmetric matrix over its memory, raising
+    SingularSystemError when it is numerically unusable.
+
+    a must be C-contiguous and exactly symmetric; its transpose is the
+    Fortran-ordered view LAPACK factors in place, so a is overwritten and no
+    copy of it is made.  Returns (lu_piv, rcond) where lu_piv feeds
+    scipy.linalg.lu_solve and rcond is LAPACK's 1-norm reciprocal condition
+    estimate.
     """
+    anorm = symmetric_norm1(a)
     with warnings.catch_warnings():
         # an exactly singular factor is diagnosed below through rcond
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu_piv = lu_factor(a, check_finite=False)
+        lu_piv = lu_factor(a.T, overwrite_a=True, check_finite=False)
     gecon = get_lapack_funcs(("gecon",), (a,))[0]
-    rcond, info = gecon(lu_piv[0], np.linalg.norm(a, 1))
+    rcond, info = gecon(lu_piv[0], anorm)
     if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularSystemError(
             f"{what} is numerically singular (rcond {rcond:.3e})",
@@ -45,7 +67,7 @@ def cholesky_checked(a, what):
     with l Fortran-ordered (upper triangle zeroed) and rcond LAPACK's 1-norm
     reciprocal condition estimate.
     """
-    anorm = np.linalg.norm(a, 1)
+    anorm = symmetric_norm1(a)
     potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (a,))
     l, info = potrf(a.T, lower=1, overwrite_a=1, clean=1)
     if info != 0:

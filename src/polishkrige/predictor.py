@@ -146,13 +146,17 @@ def _fit_residual_variogram(scatter, config):
 def predict_many(model, points):
     """Values and variances at an (M, 2) array of target locations, in
     chunks of about 2**20 floats of scratch so that memory does not grow
-    with the number of targets.  Chunks are sized by the kriging scratch;
-    the impk spline, evaluated after kriging, needs two floats per centre
-    and target, and its centres are the residual sites, so it fits too."""
+    with the number of targets.  Each chunk is kriged and then its mean
+    evaluated, so a chunk is sized by the larger of the two needs per
+    target: the kriging scratch (KrigingSystem.target_floats) and, for
+    impk, the spline's distance to each of its centres."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     values = np.empty(len(points))
     variances = np.empty(len(points))
-    step = max(1, 2**20 // model._system.target_floats)
+    per_target = model._system.target_floats
+    if model.method == "impk":
+        per_target = max(per_target, len(model.mean_component.centers))
+    step = max(1, 2**20 // per_target)
     for lo in range(0, len(points), step):
         chunk = points[lo:lo + step]
         resid, variances[lo:lo + step] = model._system.predict_many(chunk)

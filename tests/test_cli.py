@@ -1,10 +1,14 @@
 import argparse
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polishkrige
 from polishkrige import DataError, FitConfig, GridLattice, Location2D, load_model
 from polishkrige.cli import (
     grid_csv_lines,
@@ -324,3 +328,24 @@ class TestConfigPrecedence:
         assert cfg.family == "spherical"
         assert cfg.n_bins == 15
         assert cfg.max_sweeps == 100
+
+
+def test_loading_and_predicting_never_import_the_optimizer(csv_path, tmp_path):
+    # scipy.optimize serves only the variogram fit; a surface child skips it
+    model_path = tmp_path / "obs.model"
+    assert run(["fit", csv_path, "--method", "impk", "--neighborhood", "5",
+                "--out", model_path]) == 0
+    code = "\n".join([
+        "import sys",
+        "import polishkrige",
+        "from polishkrige.cli import main",
+        f"model = polishkrige.load_model({str(model_path)!r})",
+        "polishkrige.predict_many(model, [[1.5, 2.5], [0.2, 3.9]])",
+        "assert 'scipy.optimize' not in sys.modules",
+        f"assert main(['cv', {str(csv_path)!r}]) == 0",
+    ])
+    src = str(pathlib.Path(polishkrige.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("RMSE,MPK,")

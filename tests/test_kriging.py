@@ -436,21 +436,101 @@ class TestDualKriging:
 
 
 class TestNearestSelection:
-    """Linear-time k-nearest selection equals the stable-argsort reference."""
+    """KD-tree k-nearest selection equals the stable-argsort reference."""
+
+    @staticmethod
+    def reference(scatter, targets, k):
+        d = np.hypot(scatter.coords[:, 0] - targets[:, :1], scatter.coords[:, 1] - targets[:, 1:])
+        return np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
+
+    @staticmethod
+    def lattice(rng, shift=0.0, scale=1.0):
+        """A 9 x 11 unit lattice less about a tenth of its nodes, and targets
+        at its nodes, cell centres and edge midpoints: exact distance ties."""
+        ys, xs = np.mgrid[0:9, 0:11].astype(np.float64)
+        keep = rng.random(xs.size) > 0.1
+        scatter = ScatterSet(np.column_stack([xs.ravel(), ys.ravel()])[keep] * scale + shift,
+                             rng.normal(size=int(keep.sum())))
+        ty, tx = np.mgrid[-1:9.5:0.5, -1:11.5:0.5]
+        return scatter, np.column_stack([tx.ravel(), ty.ravel()]) * scale + shift
+
+    def assert_matches(self, scatter, targets, k):
+        system = KrigingSystem(scatter, VariogramModel("exponential", 0.1, 1.0, 5.0),
+                               neighborhood=k)
+        np.testing.assert_array_equal(system._nearest(targets),
+                                      self.reference(scatter, targets, k))
 
     @pytest.mark.parametrize("k", [1, 4, 5, 16, 37])
     def test_matches_argsort_with_exact_ties(self, rng, k):
-        ys, xs = np.mgrid[0:9, 0:11].astype(np.float64)
-        keep = rng.random(xs.size) > 0.1
-        scatter = ScatterSet(np.column_stack([xs.ravel(), ys.ravel()])[keep],
-                             rng.normal(size=int(keep.sum())))
-        # lattice nodes, cell centres and edge midpoints: exact distance ties
-        ty, tx = np.mgrid[-1:9.5:0.5, -1:11.5:0.5]
-        targets = np.column_stack([tx.ravel(), ty.ravel()])
-        system = KrigingSystem(scatter, VariogramModel("exponential", 0.1, 1.0, 5.0),
-                               neighborhood=k)
+        scatter, targets = self.lattice(rng)
         d = np.hypot(scatter.coords[:, 0] - targets[:, :1], scatter.coords[:, 1] - targets[:, 1:])
-        want = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
         kth = np.sort(d, axis=1)[:, k - 1:k]
         assert ((d <= kth).sum(axis=1) > k).any()
-        np.testing.assert_array_equal(system._nearest(targets), want)
+        self.assert_matches(scatter, targets, k)
+
+    def test_equidistant_ring_doubles_the_candidates_up_to_all_points(self):
+        # the 36 integer points at distance exactly 65 from the origin, and four
+        # farther sites: every candidate set short of all 40 points is all ties
+        ring = [(x, y) for x in range(-65, 66) for y in range(-65, 66) if x * x + y * y == 65**2]
+        coords = np.array(ring + [(100.0, 0.0), (0.0, 100.0), (-100.0, 0.0), (0.0, -100.0)])
+        assert len(ring) == 36
+        scatter = ScatterSet(coords, np.arange(len(coords), dtype=np.float64))
+        targets = np.array([[0.0, 0.0], [65.0, 1.0], [0.5, 0.0]])
+        k = 4
+        system = KrigingSystem(scatter, VariogramModel("exponential", 0.1, 1.0, 50.0),
+                               neighborhood=k)
+        tree, candidates = system._tree, []
+
+        class Spy:
+            def query(self, t, c):
+                candidates.append((len(t), c))
+                return tree.query(t, c)
+
+        system._tree = Spy()
+        got = system._nearest(targets)
+        np.testing.assert_array_equal(got, self.reference(scatter, targets, k))
+        # the origin is retried at 16 and 32 candidates, then takes all 40 points
+        assert candidates == [(3, 8), (1, 16), (1, 32)]
+        assert got[0].tolist() == [0, 1, 2, 3]
+
+    def test_all_but_one_point(self, rng):
+        scatter, targets = self.lattice(rng)
+        self.assert_matches(scatter, targets, scatter.n - 1)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_targets_on_sites_and_far_outside(self, rng, k):
+        scatter, _ = self.lattice(rng)
+        # at 1e200 the tree's squared distances overflow to inf and bound nothing
+        far = np.array([[-1e4, 3.0], [5.0, 1e4], [1e6, -1e6], [-40.0, -40.0], [1e200, -3.0]])
+        self.assert_matches(scatter, np.vstack([scatter.coords, far]), k)
+
+    @pytest.mark.parametrize("shift,scale", [(0.0, 1e-6), (0.0, 1e6), (1e6, 1.0)])
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_scaled_and_translated_coordinates(self, rng, shift, scale, k):
+        scatter, targets = self.lattice(rng, shift, scale)
+        self.assert_matches(scatter, targets, k)
+
+    @pytest.mark.parametrize("k", [None, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_is_a_data_error(self, rng, k, bad):
+        scatter, _ = self.lattice(rng)
+        system = KrigingSystem(scatter, VariogramModel("exponential", 0.1, 1.0, 5.0),
+                               neighborhood=k)
+        with pytest.raises(DataError):
+            system.predict_many([[1.0, 2.0], [bad, 3.0]])
+
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_ok_solve_weights_on_the_reference_neighbourhood(self, rng, k):
+        scatter, targets = self.lattice(rng)
+        model = VariogramModel("spherical", 0.1, 1.0, 5.0)
+        for t, idx in zip(targets[::7], self.reference(scatter, targets[::7], k)):
+            pts = scatter.coords[idx]
+            a = np.ones((k + 1, k + 1))
+            a[:k, :k] = covariance(model, cdist(pts, pts))
+            a[k, k] = 0.0
+            rhs = np.append(covariance(model, cdist(t[None], pts)[0]), 1.0)
+            want = np.linalg.solve(a, rhs)
+            w = ok_solve(scatter, model, Location2D(*t), neighborhood=k)
+            assert not np.delete(w.weights, idx).any()
+            np.testing.assert_allclose(w.weights[idx], want[:k], rtol=1e-10, atol=1e-12)
+            assert w.lagrange == pytest.approx(want[k], rel=1e-9, abs=1e-12)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
+from scipy.spatial.distance import cdist
 
 from polishkrige import (
     BiharmonicModel,
@@ -148,6 +151,32 @@ class TestBiharmonicFit:
         model = biharmonic_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), [1.0, 2.0])
         with pytest.raises(DataError):
             biharmonic_eval(model, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("regularization", [0.0, 0.25])
+    def test_strengths_equal_a_factorization_of_a_copy(self, rng, regularization):
+        coords = rng.uniform(0, 10, size=(60, 2))
+        values = rng.normal(size=60)
+        r = cdist(coords, coords)
+        g = np.where(r == 0, 0.0, r * r * (np.log(np.where(r == 0, 1.0, r)) - 1.0))
+        g += regularization * np.eye(60)
+        want = lu_solve(lu_factor(g), values)
+        got = biharmonic_fit(coords, values, regularization).strengths
+        np.testing.assert_array_equal(got, want)
+
+    def test_fit_holds_one_green_matrix(self):
+        # the n x n Green matrix is built, regularized and factored in place:
+        # the fit's peak stays below two such matrices
+        ys, xs = np.mgrid[0:32, 0:32].astype(np.float64)
+        coords = np.column_stack([xs.ravel(), ys.ravel()])
+        values = np.sin(coords[:, 0]) + np.cos(0.7 * coords[:, 1])
+        n = len(coords)
+        tracemalloc.start()
+        try:
+            biharmonic_fit(coords, values, regularization=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
 
 
 class TestLinearMean:

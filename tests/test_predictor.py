@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from polishkrige import (
+    BiharmonicModel,
     CvReport,
     DataError,
     FitConfig,
@@ -17,6 +18,7 @@ from polishkrige import (
     VariogramModel,
     covariance,
     cross_validate,
+    decompose,
     fit,
     green_function,
     loocv,
@@ -25,7 +27,9 @@ from polishkrige import (
     predict_grid,
     predict_many,
     rmse,
+    residuals_as_scatter,
 )
+from polishkrige.predictor import SurfaceModel
 
 
 def thin_row_table():
@@ -371,6 +375,28 @@ class TestResidualEngine:
         # set the memory per target
         model = fit(coal_ash_grid, "impk", FitConfig(neighborhood=100))
         assert self.peak(model, (40, 40)) < 1.5 * self.peak(model, (20, 20))
+
+    def test_neighbourhood_impk_scratch_is_bounded(self):
+        # about 2,800 sites, k = 16: chunks are sized by the spline's distances
+        # to every centre, the larger need, so scratch stays near 2**20 floats
+        rng = np.random.default_rng(3)
+        cells = rng.normal(size=(55, 55)) + 0.1 * np.arange(55.0)[:, None]
+        cells[rng.random((55, 55)) < 0.05] = np.nan
+        grid = GridTable(GridLattice(np.arange(55.0), np.arange(55.0)), cells)
+        config = FitConfig(method="impk", neighborhood=16)
+        polish = decompose(grid)
+        scatter = residuals_as_scatter(polish, grid.lattice)
+        spline = BiharmonicModel(2, scatter.coords, rng.normal(size=scatter.n))
+        model = SurfaceModel(grid, config, polish, scatter,
+                             VariogramModel("exponential", 0.05, 1.0, 8.0), spline)
+        points = rng.uniform(-2.0, 56.0, size=(3000, 2))
+        tracemalloc.start()
+        try:
+            predict_many(model, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20 * 8
 
 
 class TestCrossValidate:
