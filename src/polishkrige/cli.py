@@ -69,7 +69,7 @@ def parse_config_file(path):
         key = key.strip()
         if not sep or not key:
             raise DataError(f"{path}: line {line_no}: expected key=value")
-        if key not in _CONFIG_KEYS:
+        if key not in _KNOB_FLAGS:
             raise DataError(f"{path}: line {line_no}: unknown key {key!r}")
         out[key] = value.strip()
     return out
@@ -84,17 +84,25 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# config-file key (the flag's name) -> (FitConfig field, parser of file values)
-_CONFIG_KEYS = {
-    "method": ("method", str),
-    "variogram": ("family", str),
-    "bins": ("n_bins", int),
-    "max-lag": ("max_lag", float),
-    "mp-tol": ("mp_tol", float),
-    "max-sweeps": ("max_sweeps", int),
-    "epsilon": ("epsilon", float),
-    "freeze-variogram": ("freeze_variogram", _parse_bool),
-    "neighborhood": ("neighborhood", int),
+# the one list of fit knobs: flag name (also its config-file key) ->
+# (FitConfig field, argparse options of the flag)
+_KNOB_FLAGS = {
+    "method": ("method", dict(choices=list(METHODS), help="prediction method")),
+    "variogram": ("family", dict(choices=list(FAMILIES), help="variogram family")),
+    "bins": ("n_bins", dict(type=int, metavar="N", help="variogram bins (default 15)")),
+    "max-lag": ("max_lag", dict(type=float, metavar="R",
+                                help="variogram cutoff (default: half the max pair distance)")),
+    "mp-tol": ("mp_tol", dict(type=float, metavar="T",
+                              help="median-polish tolerance (default: 1e-9 x data spread)")),
+    "max-sweeps": ("max_sweeps", dict(type=int, metavar="N",
+                                      help="median-polish sweep budget (default 100)")),
+    "epsilon": ("epsilon", dict(type=float, metavar="E",
+                                help="spline ridge regularization (default 0)")),
+    "freeze-variogram": ("freeze_variogram", dict(
+        action="store_true", default=None,
+        help="fit the variogram once on the full data during cv")),
+    "neighborhood": ("neighborhood", dict(type=int, metavar="K",
+                                          help="restrict kriging to the K nearest residuals")),
 }
 
 
@@ -102,16 +110,19 @@ def build_config(args):
     """Merge the optional config file and explicit flags into a FitConfig.
 
     Flags win over file values; anything unset keeps the FitConfig default.
-    Bad file values are pipeline errors (exit 1), bad flag values never get
-    here (argparse rejects them with exit 2).
+    Unparseable file values and any value FitConfig refuses are pipeline
+    errors (exit 1); unparseable flag values never get here (argparse
+    rejects them with exit 2).
     """
     file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
     values = {}
-    for key, (field, cast) in _CONFIG_KEYS.items():
+    for key, (field, options) in _KNOB_FLAGS.items():
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             values[field] = flag
         elif key in file_cfg:
+            # a file value is parsed by the flag's type, or as a boolean for a switch
+            cast = _parse_bool if "action" in options else options.get("type", str)
             try:
                 values[field] = cast(file_cfg[key])
             except ValueError as exc:
@@ -246,21 +257,8 @@ def cmd_cv(args):
 
 
 def _add_config_flags(sp):
-    sp.add_argument("--method", choices=list(METHODS), help="prediction method")
-    sp.add_argument("--variogram", choices=list(FAMILIES), help="variogram family")
-    sp.add_argument("--bins", type=int, metavar="N", help="variogram bins (default 15)")
-    sp.add_argument("--max-lag", type=float, metavar="R",
-                    help="variogram cutoff (default: half the max pair distance)")
-    sp.add_argument("--mp-tol", type=float, metavar="T",
-                    help="median-polish tolerance (default: 1e-9 x data spread)")
-    sp.add_argument("--max-sweeps", type=int, metavar="N",
-                    help="median-polish sweep budget (default 100)")
-    sp.add_argument("--epsilon", type=float, metavar="E",
-                    help="spline ridge regularization (default 0)")
-    sp.add_argument("--freeze-variogram", action="store_true", default=None,
-                    help="fit the variogram once on the full data during cv")
-    sp.add_argument("--neighborhood", type=int, metavar="K",
-                    help="restrict kriging to the K nearest residuals")
+    for key, (_, options) in _KNOB_FLAGS.items():
+        sp.add_argument(f"--{key}", **options)
     sp.add_argument("--config", metavar="FILE",
                     help="key=value config file; flags take precedence")
 

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_solve
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, DuplicateLocationError, GreenSingularityError, SingularSystemError
 from .median_polish import MedianPolishFit
 from .numerics import RCOND_FLOOR, factor_checked, row_blocks
-from .spatial_core import GridLattice, _frozen, axis_cells
+from .spatial_core import GridLattice, _closest_pair_within, _frozen, axis_cells
 
 
 def green_function(m, r):
@@ -103,10 +102,9 @@ class BiharmonicModel:
 
 
 def _reject_duplicate_rows(centers):
-    pairs = cKDTree(centers).query_pairs(r=0.0, output_type="ndarray")
-    if len(pairs):
-        i, j = min(tuple(sorted(p)) for p in pairs)
-        raise DuplicateLocationError(f"centers {i} and {j} coincide")
+    pair = _closest_pair_within(centers, 0.0)
+    if pair is not None:
+        raise DuplicateLocationError(f"centers {pair[0]} and {pair[1]} coincide")
 
 
 def _as_points(s, d):
@@ -162,13 +160,19 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
         strengths = np.zeros(len(values))
         return BiharmonicModel(dimension, centers, strengths, float(regularization))
 
-    # G is built, regularized and LU-factored over one n x n array
+    lu_piv = _green_system(centers, regularization, dimension)[0]
+    strengths = lu_solve(lu_piv, values, check_finite=False)
+    return BiharmonicModel(dimension, centers, strengths, float(regularization))
+
+
+def _green_system(centers, regularization, dimension=2):
+    """numerics.factor_checked of G + eps I, G_ij = phi_m(|c_i - c_j|):
+    (lu_piv, rcond, 1-norm).  G is built, regularized and LU-factored over
+    one n x n array."""
     g = _green_over(dimension, cdist(centers, centers))
     if regularization:
         g.flat[::len(g) + 1] += regularization
-    lu_piv, _ = factor_checked(g, "green-function system")
-    strengths = lu_solve(lu_piv, values, check_finite=False)
-    return BiharmonicModel(dimension, centers, strengths, float(regularization))
+    return factor_checked(g, "green-function system")
 
 
 def biharmonic_deletions(centers, regularization=0.0):
@@ -178,11 +182,9 @@ def biharmonic_deletions(centers, regularization=0.0):
     fitted instead (raising what biharmonic_fit raises) if G + eps I is
     singular or |H[i, i]| cannot certify the reduced system's 1-norm rcond,
     at least |H[i, i]| / (|G| |H| (|H| + |H[i, i]|)), above RCOND_FLOOR."""
-    n = len(centers)
-    g = _green_over(2, cdist(centers, centers)) + regularization * np.eye(n)
-    g_norm = np.linalg.norm(g, 1)
     try:
-        h = lu_solve(factor_checked(g, "green-function system")[0], np.eye(n))
+        lu_piv, _, g_norm = _green_system(centers, regularization)
+        h = lu_solve(lu_piv, np.eye(len(centers)))
         h_norm = np.linalg.norm(h, 1)
     except SingularSystemError:
         h = None

@@ -4,20 +4,22 @@ The format is versioned and self-describing: a signature line, a method
 line, then bracketed sections of whitespace-separated key/value or record
 lines.  Floats are written with repr, which round-trips exactly, so
 save -> load -> save is byte-identical.  Each fact is stored once: the
-residuals (cell minus fitted effects), the spline centres (the present
-cells, in lattice units), the spline ridge (config epsilon), the variogram
-family (config family) and its degenerate flag (a zero sill) are rebuilt.
+residuals (cell minus fitted effects), the spline centres and ridge
+(predictor.saved_spline), the variogram family (from the configuration)
+and its degenerate flag (a zero sill) are rebuilt.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import typing
 
 import numpy as np
 
 from .errors import DataError, GridStructureError, ModelFormatError
 from .kriging import VariogramModel
-from .mean_surface import BiharmonicModel
 from .median_polish import polish_from_effects, residuals_as_scatter
-from .predictor import FitConfig, SurfaceModel
+from .predictor import METHODS, FitConfig, SurfaceModel, saved_spline
 from .spatial_core import GridLattice, GridTable
 
 SIGNATURE = "polishkrige-model 3"
@@ -27,8 +29,14 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _fmt_opt(v):
-    return "none" if v is None else repr(v) if isinstance(v, float) else str(v)
+# [config] holds every FitConfig field but method, in field order, as text
+# written and read by the field's annotation; "none" stands for None only
+# where None is the field's default
+_TEXT = {str: (str, str), int: (str, int), float: (_fmt, float),
+         bool: (lambda v: str(int(v)), lambda t: bool(int(t)))}
+_HINTS = typing.get_type_hints(FitConfig)
+_KNOBS = [(f.name, f.default is None, *_TEXT[_HINTS[f.name]])
+          for f in dataclasses.fields(FitConfig) if f.name != "method"]
 
 
 def _vector(values):
@@ -41,7 +49,6 @@ def save_model(model, path):
     lat = grid.lattice
     polish = model.polish
     vg = model.variogram
-    cfg = model.config
 
     lines = [SIGNATURE, f"method {model.method}"]
     lines.append("[lattice]")
@@ -69,14 +76,9 @@ def save_model(model, path):
         lines.append(f"strengths {_vector(model.mean_component.strengths)}")
 
     lines.append("[config]")
-    lines.append(f"family {cfg.family}")
-    lines.append(f"n_bins {cfg.n_bins}")
-    lines.append(f"max_lag {_fmt_opt(cfg.max_lag)}")
-    lines.append(f"mp_tol {_fmt_opt(cfg.mp_tol)}")
-    lines.append(f"max_sweeps {cfg.max_sweeps}")
-    lines.append(f"epsilon {_fmt(cfg.epsilon)}")
-    lines.append(f"freeze_variogram {int(cfg.freeze_variogram)}")
-    lines.append(f"neighborhood {_fmt_opt(cfg.neighborhood)}")
+    for name, _, write, _ in _KNOBS:
+        value = getattr(model.config, name)
+        lines.append(f"{name} {'none' if value is None else write(value)}")
 
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -126,14 +128,6 @@ def _floats(text):
     return np.array([float(t) for t in text.split()])
 
 
-def _opt_float(text):
-    return None if text == "none" else float(text)
-
-
-def _opt_int(text):
-    return None if text == "none" else int(text)
-
-
 def load_model(path):
     """Read a SurfaceModel back from a file written by save_model.
 
@@ -154,7 +148,7 @@ def load_model(path):
     if len(lines) < 2 or not lines[1][1].startswith("method "):
         raise ModelFormatError(f"{path}: missing method line")
     method = lines[1][1].split(" ", 1)[1]
-    if method not in ("mpk", "impk"):
+    if method not in METHODS:
         raise ModelFormatError(f"{path}: unknown method {method!r}")
 
     sections = _split_sections(lines[2:])
@@ -181,17 +175,9 @@ def load_model(path):
         )
 
         ckv = _keyed(sections["config"], "config")
-        config = FitConfig(
-            method=method,
-            family=ckv["family"],
-            n_bins=int(ckv["n_bins"]),
-            max_lag=_opt_float(ckv["max_lag"]),
-            mp_tol=_opt_float(ckv["mp_tol"]),
-            max_sweeps=int(ckv["max_sweeps"]),
-            epsilon=float(ckv["epsilon"]),
-            freeze_variogram=bool(int(ckv["freeze_variogram"])),
-            neighborhood=_opt_int(ckv["neighborhood"]),
-        )
+        config = FitConfig(method=method, **{
+            name: None if optional and ckv[name] == "none" else read(ckv[name])
+            for name, optional, _, read in _KNOBS})
 
         vkv = _keyed(sections["variogram"], "variogram")
         nugget, psill = float(vkv["nugget"]), float(vkv["partial_sill"])
@@ -202,8 +188,7 @@ def load_model(path):
         spline = None
         if method == "impk":
             strengths = _floats(_keyed(sections["spline"], "spline")["strengths"])
-            spline = BiharmonicModel(2, residual_scatter.coords / lattice.spacing, strengths,
-                                     config.epsilon)
+            spline = saved_spline(grid, config, strengths)
     except (KeyError, ValueError, DataError, GridStructureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
 

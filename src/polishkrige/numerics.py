@@ -38,9 +38,9 @@ def factor_checked(a, what):
 
     a must be C-contiguous and exactly symmetric; its transpose is the
     Fortran-ordered view LAPACK factors in place, so a is overwritten and no
-    copy of it is made.  Returns (lu_piv, rcond) where lu_piv feeds
-    scipy.linalg.lu_solve and rcond is LAPACK's 1-norm reciprocal condition
-    estimate.
+    copy of it is made.  Returns (lu_piv, rcond, anorm) where lu_piv feeds
+    scipy.linalg.lu_solve, rcond is LAPACK's 1-norm reciprocal condition
+    estimate and anorm the 1-norm of a.
     """
     anorm = symmetric_norm1(a)
     with warnings.catch_warnings():
@@ -54,7 +54,7 @@ def factor_checked(a, what):
             f"{what} is numerically singular (rcond {rcond:.3e})",
             condition=float(rcond),
         )
-    return lu_piv, float(rcond)
+    return lu_piv, float(rcond), anorm
 
 
 def cholesky_checked(a, what):

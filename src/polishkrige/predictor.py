@@ -25,6 +25,7 @@ from .kriging import (
     fit_variogram,
 )
 from .mean_surface import (
+    BiharmonicModel,
     LinearMeanModel,
     biharmonic_deletions,
     biharmonic_eval_many,
@@ -68,12 +69,12 @@ class FitConfig:
             raise DataError("n_bins must be at least 1")
         if self.max_sweeps < 1:
             raise DataError("max_sweeps must be at least 1")
-        if self.epsilon < 0:
-            raise DataError("epsilon must be nonnegative")
-        if self.max_lag is not None and not self.max_lag > 0:
-            raise DataError("max_lag must be positive")
-        if self.mp_tol is not None and not self.mp_tol > 0:
-            raise DataError("mp_tol must be positive")
+        if not 0 <= self.epsilon < np.inf:
+            raise DataError("epsilon must be finite and nonnegative")
+        if self.max_lag is not None and not 0 < self.max_lag < np.inf:
+            raise DataError("max_lag must be finite and positive")
+        if self.mp_tol is not None and not 0 < self.mp_tol < np.inf:
+            raise DataError("mp_tol must be finite and positive")
         if self.neighborhood is not None and self.neighborhood < 1:
             raise DataError("neighborhood must be at least 1")
 
@@ -128,14 +129,27 @@ def fit(grid, method, config=None, variogram=None):
 
     spline = None
     if method == "impk":
-        rows, cols = np.nonzero(grid.present_mask)
-        effects = polish.row_effects[rows] + polish.col_effects[cols]
-        spline = biharmonic_fit(residual_scatter.coords / grid.lattice.spacing, effects,
-                                config.epsilon)
+        centers, effects = _spline_frame(grid)
+        spline = biharmonic_fit(centers, effects(polish), config.epsilon)
 
     if variogram is None:
         variogram = _fit_residual_variogram(residual_scatter, config)
     return SurfaceModel(grid, config, polish, residual_scatter, variogram, spline)
+
+
+def _spline_frame(grid):
+    """The impk spline's frame on grid: its centres, the present nodes in
+    units of the lattice spacing (row-major), and effects(polish), its values
+    there, the row plus column effects."""
+    rows, cols = np.nonzero(grid.present_mask)
+    return (grid.to_scatter().coords / grid.lattice.spacing,
+            lambda polish: polish.row_effects[rows] + polish.col_effects[cols])
+
+
+def saved_spline(grid, config, strengths):
+    """The impk spline of a saved model: the strengths on grid's spline frame,
+    with config.epsilon as its ridge."""
+    return BiharmonicModel(2, _spline_frame(grid)[0], strengths, config.epsilon)
 
 
 def _fit_residual_variogram(scatter, config):
@@ -292,7 +306,8 @@ def cross_validate(grid, methods, config=None):
     usable = (row_counts[rows] >= 2) & (col_counts[cols] >= 2)
     polished = _polished_folds(grid, rows[usable], cols[usable], config)
     if "impk" in methods:
-        deletion = biharmonic_deletions(grid.to_scatter().coords / lat.spacing, config.epsilon)
+        centers, effects = _spline_frame(grid)
+        deletion = biharmonic_deletions(centers, config.epsilon)
 
     def outcomes(polish, i, xy):
         """{method: (value, variance) or skip reason} for deleted cell i."""
@@ -303,8 +318,7 @@ def cross_validate(grid, methods, config=None):
                 means["mpk"] = linear_mean_many(LinearMeanModel(polish, lat), xy)[0]
             if "impk" in methods:
                 try:
-                    w = polish.row_effects[rows] + polish.col_effects[cols]
-                    means["impk"] = polish.overall + deletion(i, w)
+                    means["impk"] = polish.overall + deletion(i, effects(polish))
                 except PolishKrigeError as exc:
                     reasons["impk"] = f"{exc.category}: {exc}"
             variogram = frozen or _fit_residual_variogram(scatter, config)

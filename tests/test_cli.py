@@ -142,6 +142,15 @@ class TestFitCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("bad-input:")
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--max-lag", "--mp-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_knob_is_bad_input(self, csv_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "m"
+        code = run(["fit", csv_path, "--method", "impk", flag, value, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("bad-input:")
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = run(["fit", "ghost.csv", "--out", tmp_path / "m"])

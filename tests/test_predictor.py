@@ -295,6 +295,12 @@ class TestRmseAndConfig:
             dict(max_lag=0.0),
             dict(mp_tol=-1e-9),
             dict(neighborhood=0),
+            dict(epsilon=np.nan),
+            dict(epsilon=np.inf),
+            dict(max_lag=np.nan),
+            dict(max_lag=np.inf),
+            dict(mp_tol=np.nan),
+            dict(mp_tol=np.inf),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
