@@ -7,13 +7,15 @@ pair-count-weighted least squares.  Ordinary kriging weights sum to one
 unknown constant mean.
 
 KrigingSystem is the one engine behind ok_solve, ok_predict and the surface
-predictors, on the sill-scaled covariance C.  Over all points it is dual
-kriging (Cressie 1993, ch. 3): one Cholesky factor C = L L^T gives the
-generalized-least-squares mean m and the dual weights alpha = C^-1 (z - m),
-so a value is m + alpha . c in O(n) per target and a variance needs one
-triangular solve L^-1 c.  Over the k nearest points it solves the augmented
-systems [[C, 1], [1^T, 0]] per target, stacked in batches of targets, with
-each target's neighbours found through a KD-tree over the points.
+predictors, on the sill-scaled covariance C, which it solves alone instead of
+the system bordered by ones (Cressie 1993, ch. 3): with u = C^-1 1, the
+weights at a target of covariances c are C^-1 c + k u and the multiplier is
+-k, k = (1 - u . c) / (1 . u).  Over all points this is dual kriging: one
+Cholesky factor C = L L^T gives the generalized-least-squares mean m and the
+dual weights alpha = C^-1 (z - m), so a value is m + alpha . c in O(n) per
+target and a variance needs one triangular solve L^-1 c.  Over the k nearest
+points (a KD-tree finds them), one inverse of each target's k x k C gives its
+weights, refined once against C, and its exact 1-norm condition.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DataError, PolishKrigeError, SingularSystemError
-from .numerics import RCOND_FLOOR, cholesky_checked, row_blocks
+from .numerics import checked_rcond, cholesky_checked, row_blocks
 from .spatial_core import _frozen
 
 FAMILIES = ("spherical", "exponential", "gaussian")
@@ -125,8 +127,8 @@ def empirical_semivariogram(scatter, n_bins=15, max_lag=None):
     d = pdist(scatter.coords)
     if max_lag is None:
         max_lag = 0.5 * float(d.max())
-    if not max_lag > 0:
-        raise DataError("max_lag must be positive")
+    if not 0 < max_lag < np.inf:
+        raise DataError("max_lag must be finite and positive")
 
     width = max_lag / n_bins
     # a pair within 1e-9 bin widths of an edge, max_lag included, goes to the
@@ -154,28 +156,10 @@ def empirical_semivariogram(scatter, n_bins=15, max_lag=None):
     return EmpiricalVariogram(centers, gamma, counts[retained], float(max_lag))
 
 
-def _model_gamma(family, nugget, psill, rng, h):
-    u = h / rng
-    if family == "spherical":
-        shape = np.where(u >= 1.0, 1.0, 1.5 * u - 0.5 * u**3)
-    elif family == "exponential":
-        shape = 1.0 - np.exp(-3.0 * u)
-    else:
-        shape = 1.0 - np.exp(-3.0 * u**2)
-    return nugget + psill * shape
-
-
 def semivariance(model, h):
-    """gamma(h) for a fitted model; gamma(0) = 0, limit h->0+ = nugget."""
-    h = np.asarray(h, dtype=np.float64)
-    if np.any(h < 0):
-        raise DataError("negative lag distance")
-    g = np.where(
-        h == 0,
-        0.0,
-        _model_gamma(model.family, model.nugget, model.partial_sill, model.range, h),
-    )
-    return g if g.ndim else float(g)
+    """gamma(h) = sill - covariance(model, h) for a fitted model; gamma(0) = 0,
+    limit h->0+ = nugget."""
+    return model.sill - covariance(model, h)
 
 
 def covariance(model, h):
@@ -187,31 +171,35 @@ def covariance(model, h):
     return c if c.ndim else float(c)
 
 
-def _covariance_over(model, h):
-    """covariance(model, h) for a float array of distances h >= 0 that this
-    module computed itself: h is overwritten and returned, with temporaries
-    only of one block of rows (numerics.row_blocks) for the spherical family
-    and none otherwise.
-
-    Away from 0 the covariance is psill * rho(h / range) with rho the
-    correlation of the family; a distance of exactly 0 gets the full sill.
-    """
-    zero = h == 0 if model.nugget else None
-    np.divide(h, model.range, out=h)
-    if model.family == "spherical":
+def _correlation_over(family, u):
+    """The family's correlation rho(u), the semivariance shape being 1 - rho,
+    at lags u = h / range >= 0, overwriting u, with temporaries only of one
+    block of rows (numerics.row_blocks) for the spherical family."""
+    if family == "spherical":
         # rho = 1 - 1.5 u + 0.5 u^3 = (1 - u)^2 (1 + u / 2), exactly 0 from u = 1 on
-        np.minimum(h, 1.0, out=h)
-        for block in row_blocks(h):
+        np.minimum(u, 1.0, out=u)
+        for block in row_blocks(u):
             tail = np.subtract(1.0, block)
             tail *= tail
             block *= 0.5
             block += 1.0
             block *= tail
     else:
-        if model.family == "gaussian":
-            np.square(h, out=h)
-        h *= -3.0
-        np.exp(h, out=h)
+        if family == "gaussian":
+            np.square(u, out=u)
+        u *= -3.0
+        np.exp(u, out=u)
+    return u
+
+
+def _covariance_over(model, h):
+    """covariance(model, h) for a float array of distances h >= 0 that this
+    module computed itself: h is overwritten and returned.  Away from 0 the
+    covariance is psill * rho(h / range); a distance of exactly 0 gets the
+    full sill."""
+    zero = h == 0 if model.nugget else None
+    np.divide(h, model.range, out=h)
+    _correlation_over(model.family, h)
     h *= model.partial_sill
     if zero is not None:
         h[zero] = model.sill
@@ -253,7 +241,7 @@ def fit_variogram(emp, family="spherical"):
         """Least weighted SSE with its (nugget, psill) at each range: the box
         optimum is the interior stationary point or an edge optimum, and
         clipping makes every candidate feasible."""
-        s = _model_gamma(family, 0.0, 1.0, ranges[:, None], emp.lag_centers)
+        s = 1.0 - _correlation_over(family, emp.lag_centers / ranges[:, None])
         m_s, m_ss, m_gs = s @ w, (s * s) @ w, s @ (w * g)
         det = m_w * m_ss - m_s * m_s
         zero, full = np.zeros_like(m_s), np.full_like(m_s, top)
@@ -294,14 +282,14 @@ class KrigingSystem:
 
     Everything is solved on the sill-scaled covariance C = covariance / sill,
     so the systems and their condition do not depend on the units of the
-    values.  Without a neighborhood below n, C is Cholesky-factored here for
-    dual kriging (see the module docstring) and rcond is the 1-norm
-    reciprocal condition estimate of C itself, not of the augmented
-    system; a C that is not positive definite, or has rcond below
-    RCOND_FLOOR, raises SingularSystemError.  Otherwise rcond is None and
-    each predict call stacks the augmented systems over every target's k
-    nearest points (np.hypot distance, ties to the lower scatter index),
-    raising SingularSystemError if any rcond is below RCOND_FLOOR.
+    values, and rcond is always the 1-norm reciprocal condition number of C
+    itself.  Without a neighborhood below n, C is Cholesky-factored here for
+    dual kriging (see the module docstring) and rcond is LAPACK's estimate;
+    a C that is not positive definite, or has rcond below RCOND_FLOOR,
+    raises SingularSystemError.  Otherwise rcond is None and each predict
+    call inverts the C of every target's k nearest points (np.hypot
+    distance, ties to the lower scatter index), raising SingularSystemError
+    if any exact rcond is below RCOND_FLOOR or an inverse does not exist.
     target_floats bounds the float64 scratch per target of a predict call.
     A zero-sill model predicts zero only for zero values.
     """
@@ -316,9 +304,11 @@ class KrigingSystem:
         # global: the target covariances, which the triangular solve overwrites;
         # neighbourhood: about six arrays over the 2k candidates (tree distances
         # and indices, coordinate differences, np.hypot, the partition, the tie
-        # count) and the stacked systems.  Only a target with k + 1 or more
-        # points at its k-th distance, to rounding, is retried with more.
-        self.target_floats = (12 * self.neighborhood + 3 * (self.neighborhood + 1) ** 2
+        # count), then three k x k arrays (the x and y differences, later the
+        # covariance, its inverse and the inverse's absolute values).  Only a
+        # target with k + 1 or more points at its k-th distance, to rounding,
+        # is retried with more.
+        self.target_floats = (12 * self.neighborhood + 3 * self.neighborhood ** 2
                               if self.neighborhood else n)
         self.rcond = None
         if model.sill == 0:
@@ -390,31 +380,39 @@ class KrigingSystem:
         if self.model.sill == 0:
             raise SingularSystemError(_ZERO_SILL, 0.0)
         if self.neighborhood is None:
-            # weights C^-1 (c + k 1) = L^-T (v + k u) with v = L^-1 c and
-            # multiplier -k, k = (1 - u.v) / u.u
+            # weights C^-1 (c + k 1) = L^-T (v + k u) with v = L^-1 c, here
+            # u = L^-1 1, and multiplier -k, k = (1 - u.v) / u.u
             c = self._target_covariance(targets)
             v = self._lower_solve(c)
             k = (1.0 - self._u @ v) / self._uu
             lam = self._lower_solve(v + k * self._u[:, None], trans="T")
             return np.arange(self.scatter.n)[None, :], lam.T, -k, c.T
 
-        k = self.neighborhood
+        # the module docstring's identities on each target's unit-sill C^-1
         idx = self._nearest(targets)
-        pts = self.scatter.coords[idx]
-        a = np.ones((len(targets), k + 1, k + 1))
-        pair_d = np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1)
-        a[:, :k, :k] = _covariance_over(self._unit, pair_d)
-        a[:, k, k] = 0.0
-        b = np.ones((len(targets), k + 1))
-        b[:, :k] = _covariance_over(self._unit, np.linalg.norm(pts - targets[:, None], axis=-1))
-        rcond = float(np.min(1.0 / np.linalg.cond(a, 1)))
-        if not rcond >= RCOND_FLOOR:
-            raise SingularSystemError(
-                f"neighbourhood kriging system is numerically singular (rcond {rcond:.3e})",
-                condition=rcond,
-            )
-        sol = np.linalg.solve(a, b[..., None])[..., 0]
-        return idx, sol[:, :k], sol[:, k], b[:, :k]
+        x, y = self.scatter.coords[idx, 0], self.scatter.coords[idx, 1]
+        dx = x[:, :, None] - x[:, None]
+        cov = _covariance_over(self._unit, np.hypot(dx, y[:, :, None] - y[:, None], out=dx))
+        c = _covariance_over(self._unit, np.hypot(x - targets[:, :1], y - targets[:, 1:]))
+        try:
+            inv = np.linalg.inv(cov)
+        except np.linalg.LinAlgError:
+            inv = np.full_like(cov, np.nan)  # an exactly singular C
+        # C >= 0 entrywise, so its 1-norm is its largest column sum; NaN is rcond 0
+        norms = cov.sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+        checked_rcond(np.nan_to_num(np.min(1.0 / norms)), "neighbourhood kriging system")
+        u = inv.sum(axis=2)
+        k = (1.0 - np.einsum("mk,mk->m", u, c)) / u.sum(axis=1)
+        lam = np.einsum("mij,mj->mi", inv, c) + k[:, None] * u
+        # the explicit inverse alone loses accuracy as C nears singularity: one
+        # step of iterative refinement by the same identities, then the
+        # multiplier lam.(C lam - c), at which the variance, c0 - 2 lam.c +
+        # lam.C lam when the weights sum to 1, is stationary in lam
+        r = c - np.einsum("mij,mj->mi", cov, lam) + k[:, None]
+        k = (1.0 - lam.sum(axis=1) - np.einsum("mk,mk->m", u, r)) / u.sum(axis=1)
+        lam += np.einsum("mij,mj->mi", inv, r) + k[:, None] * u
+        k = np.einsum("mi,mi->m", lam, np.einsum("mij,mj->mi", cov, lam) - c)
+        return idx, lam, -k, c
 
     def predict_many(self, targets):
         """Predicted values and variances at an (m, 2) target array of finite

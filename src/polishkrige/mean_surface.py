@@ -94,8 +94,8 @@ class BiharmonicModel:
             raise DataError("non-finite center")
         if not np.all(np.isfinite(strengths)):
             raise DataError("non-finite strength")
-        if self.regularization < 0:
-            raise DataError("regularization must be nonnegative")
+        if not 0 <= self.regularization < np.inf:
+            raise DataError("regularization must be finite and nonnegative")
         _reject_duplicate_rows(centers)
         object.__setattr__(self, "centers", _frozen(centers))
         object.__setattr__(self, "strengths", _frozen(strengths))
@@ -135,7 +135,7 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
     Args:
         centers: (N,) for 1-D or (N, d) array, pairwise distinct.
         values: N reals.
-        regularization: ridge term eps >= 0 added to the diagonal.
+        regularization: finite ridge term eps >= 0 added to the diagonal.
         dimension: Green-function index; defaults to the spatial dimension d.
 
     Raises:
@@ -151,8 +151,6 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
         raise DataError("non-finite value")
     if dimension is None:
         dimension = centers.shape[1]
-    if regularization < 0:
-        raise DataError("regularization must be nonnegative")
 
     _reject_duplicate_rows(centers)
 
@@ -168,7 +166,9 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
 def _green_system(centers, regularization, dimension=2):
     """numerics.factor_checked of G + eps I, G_ij = phi_m(|c_i - c_j|):
     (lu_piv, rcond, 1-norm).  G is built, regularized and LU-factored over
-    one n x n array."""
+    one n x n array.  DataError unless eps is finite and >= 0."""
+    if not 0 <= regularization < np.inf:
+        raise DataError("regularization must be finite and nonnegative")
     g = _green_over(dimension, cdist(centers, centers))
     if regularization:
         g.flat[::len(g) + 1] += regularization
@@ -181,7 +181,8 @@ def biharmonic_deletions(centers, regularization=0.0):
     with H the inverse of the full G + eps I, in O(N).  The reduced spline is
     fitted instead (raising what biharmonic_fit raises) if G + eps I is
     singular or |H[i, i]| cannot certify the reduced system's 1-norm rcond,
-    at least |H[i, i]| / (|G| |H| (|H| + |H[i, i]|)), above RCOND_FLOOR."""
+    at least |H[i, i]| / (|G| |H| (|H| + |H[i, i]|)), above RCOND_FLOOR.
+    Raises DataError for a regularization that is not finite and >= 0."""
     try:
         lu_piv, _, g_norm = _green_system(centers, regularization)
         h = lu_solve(lu_piv, np.eye(len(centers)))

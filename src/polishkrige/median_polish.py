@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridStructureError
+from .errors import DataError, GridStructureError
 from .spatial_core import GridTable, _frozen
 
 
@@ -78,11 +78,14 @@ def polish_stack(cells, tol=None, max_sweeps=100):
     into the overall term), then does the same for columns and row effects.
     A table converges, and is frozen, once every residual row and column
     median and the medians of both effect vectors are within its tol
-    (default 1e-9 times its spread) of zero."""
+    (default 1e-9 times its spread; DataError unless finite and >= 0) of
+    zero."""
     cells = np.asarray(cells, dtype=np.float64)
     b, p, q = cells.shape
     if tol is None:
         tol = 1e-9 * (np.nanmax(cells, axis=(1, 2)) - np.nanmin(cells, axis=(1, 2)))
+    elif not 0 <= tol < np.inf:
+        raise DataError("median-polish tol must be finite and nonnegative")
     out = (np.zeros(b), np.zeros((b, p)), np.zeros((b, q)), np.zeros(b, int), np.zeros(b, bool))
     active, tol = np.arange(b), np.broadcast_to(tol, (b,))
     resid, present = np.array(cells), ~np.isnan(cells)

@@ -32,6 +32,15 @@ def symmetric_norm1(a):
     return float(np.max([np.abs(b).sum(axis=1).max() for b in row_blocks(a)]))
 
 
+def checked_rcond(rcond, what):
+    """rcond as a float, raising SingularSystemError for what unless rcond is
+    finite and at least RCOND_FLOOR."""
+    if not (np.isfinite(rcond) and rcond >= RCOND_FLOOR):
+        raise SingularSystemError(f"{what} is numerically singular (rcond {rcond:.3e})",
+                                  condition=float(rcond))
+    return float(rcond)
+
+
 def factor_checked(a, what):
     """LU-factor a symmetric matrix over its memory, raising
     SingularSystemError when it is numerically unusable.
@@ -49,12 +58,7 @@ def factor_checked(a, what):
         lu_piv = lu_factor(a.T, overwrite_a=True, check_finite=False)
     gecon = get_lapack_funcs(("gecon",), (a,))[0]
     rcond, info = gecon(lu_piv[0], anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-        raise SingularSystemError(
-            f"{what} is numerically singular (rcond {rcond:.3e})",
-            condition=float(rcond),
-        )
-    return lu_piv, float(rcond), anorm
+    return lu_piv, checked_rcond(rcond if info == 0 else np.nan, what), anorm
 
 
 def cholesky_checked(a, what):
@@ -73,9 +77,4 @@ def cholesky_checked(a, what):
     if info != 0:
         raise SingularSystemError(f"{what} is not positive definite", condition=0.0)
     rcond, info = pocon(l, anorm, uplo="L")
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-        raise SingularSystemError(
-            f"{what} is numerically singular (rcond {rcond:.3e})",
-            condition=float(rcond),
-        )
-    return l, float(rcond)
+    return l, checked_rcond(rcond if info == 0 else np.nan, what)

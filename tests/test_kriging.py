@@ -70,6 +70,11 @@ class TestEmpiricalVariogram:
         with pytest.raises(DataError):
             empirical_semivariogram(ScatterSet([(0.0, 0.0)], [1.0]))
 
+    @pytest.mark.parametrize("max_lag", [np.inf, np.nan, 0.0, -1.0])
+    def test_max_lag_must_be_finite_and_positive(self, rng, max_lag):
+        with pytest.raises(DataError):
+            empirical_semivariogram(random_scatter(rng, 10), max_lag=max_lag)
+
     def test_lattice_bins_do_not_depend_on_coordinate_scale(self, coal_ash_grid):
         # many coal-ash lattice pair distances sit exactly on a bin edge
         scatter = fit(coal_ash_grid, "mpk").residual_scatter
@@ -113,6 +118,16 @@ class TestVariogramModel:
         for family in ("exponential", "gaussian"):
             m = VariogramModel(family, 0.0, 1.0, 4.0)
             assert semivariance(m, 4.0) == pytest.approx(0.95, abs=0.002)
+
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_semivariance_and_covariance_share_one_formula(self, family):
+        m = VariogramModel(family, 0.3, 1.7, 2.5)
+        # spherical lags at and past the range included
+        h = np.concatenate([np.linspace(1e-3, 2.5, 101), [3.0, 10.0, 1e3]])
+        np.testing.assert_allclose(semivariance(m, h) + covariance(m, h), m.sill,
+                                   rtol=0, atol=1e-15 * m.sill)
+        assert semivariance(m, 0.0) == 0.0
+        assert covariance(m, 0.0) == m.sill
 
     def test_array_evaluation(self):
         h = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
@@ -258,6 +273,23 @@ class TestFitVariogramOnCoalAsh:
             assert sse <= sse_bound
 
 
+def augmented_reference(scatter, model, targets):
+    """Ordinary kriging over all of scatter by one dense solve of the system
+    [[C, 1], [1^T, 0]]: weights (n, m), multipliers (m,), values and
+    variances (m,) at (m, 2) targets."""
+    n = scatter.n
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = covariance(model, cdist(scatter.coords, scatter.coords))
+    a[n, n] = 0.0
+    b = np.ones((n + 1, len(targets)))
+    b[:n] = covariance(model, cdist(scatter.coords, targets))
+    sol = np.linalg.solve(a, b)
+    lam, mu = sol[:n], sol[n]
+    values = lam.T @ scatter.values
+    variances = model.sill - np.einsum("nm,nm->m", lam, b[:n]) - mu
+    return lam, mu, values, variances
+
+
 class TestOrdinaryKriging:
     def params(self, rng):
         family = ("spherical", "exponential", "gaussian")[rng.integers(3)]
@@ -368,20 +400,6 @@ class TestOrdinaryKriging:
 class TestDualKriging:
     """The Cholesky dual-kriging global path against the augmented system."""
 
-    @staticmethod
-    def augmented_reference(scatter, model, targets):
-        n = scatter.n
-        a = np.ones((n + 1, n + 1))
-        a[:n, :n] = covariance(model, cdist(scatter.coords, scatter.coords))
-        a[n, n] = 0.0
-        b = np.ones((n + 1, len(targets)))
-        b[:n] = covariance(model, cdist(scatter.coords, targets))
-        sol = np.linalg.solve(a, b)
-        lam, mu = sol[:n], sol[n]
-        values = lam.T @ scatter.values
-        variances = model.sill - np.einsum("nm,nm->m", lam, b[:n]) - mu
-        return lam, mu, values, variances
-
     @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
     def test_matches_augmented_solve_on_coal_ash(self, coal_ash_grid, family):
         model = fit(coal_ash_grid, "impk", FitConfig(family=family))
@@ -392,8 +410,7 @@ class TestDualKriging:
                              np.linspace(lat.y_coords[0], lat.y_coords[-1], 23))
         targets = np.column_stack([gx.ravel(), gy.ravel()])
         assert (cdist(targets, scatter.coords) == 0).any()
-        lam, mu, want_values, want_variances = self.augmented_reference(
-            scatter, variogram, targets)
+        lam, mu, want_values, want_variances = augmented_reference(scatter, variogram, targets)
         system = KrigingSystem(scatter, variogram)
         values, variances = system.predict_many(targets)
         np.testing.assert_allclose(values, want_values, rtol=1e-10,
@@ -522,15 +539,30 @@ class TestNearestSelection:
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_ok_solve_weights_on_the_reference_neighbourhood(self, rng, k):
         scatter, targets = self.lattice(rng)
+        targets = targets[::7]
         model = VariogramModel("spherical", 0.1, 1.0, 5.0)
-        for t, idx in zip(targets[::7], self.reference(scatter, targets[::7], k)):
-            pts = scatter.coords[idx]
-            a = np.ones((k + 1, k + 1))
-            a[:k, :k] = covariance(model, cdist(pts, pts))
-            a[k, k] = 0.0
-            rhs = np.append(covariance(model, cdist(t[None], pts)[0]), 1.0)
-            want = np.linalg.solve(a, rhs)
-            w = ok_solve(scatter, model, Location2D(*t), neighborhood=k)
+        values, variances = KrigingSystem(scatter, model, neighborhood=k).predict_many(targets)
+        for j, idx in enumerate(self.reference(scatter, targets, k)):
+            hood = ScatterSet(scatter.coords[idx], scatter.values[idx])
+            lam, mu, want_value, want_variance = augmented_reference(hood, model, targets[j:j + 1])
+            w = ok_solve(scatter, model, Location2D(*targets[j]), neighborhood=k)
             assert not np.delete(w.weights, idx).any()
-            np.testing.assert_allclose(w.weights[idx], want[:k], rtol=1e-10, atol=1e-12)
-            assert w.lagrange == pytest.approx(want[k], rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(w.weights[idx], lam[:, 0], rtol=1e-10, atol=1e-12)
+            assert w.lagrange == pytest.approx(mu[0], rel=1e-9, abs=1e-12)
+            assert values[j] == pytest.approx(want_value[0], rel=1e-10)
+            assert variances[j] == pytest.approx(want_variance[0], rel=1e-10)
+
+    def test_ill_conditioned_neighbourhood_against_the_oracle(self, rng):
+        # a nugget-free gaussian with a long range: each 16-point C has rcond
+        # below 1e-9, where an explicit inverse alone misses the variance
+        scatter, targets = self.lattice(rng)
+        targets = targets[::41]
+        model = VariogramModel("gaussian", 0.0, 1.0, 15.0)
+        values, variances = KrigingSystem(scatter, model, neighborhood=16).predict_many(targets)
+        for j, idx in enumerate(self.reference(scatter, targets, 16)):
+            assert np.linalg.cond(covariance(model, cdist(scatter.coords[idx],
+                                                          scatter.coords[idx])), 1) > 1e9
+            _, _, value, variance = mp_ok_reference(scatter.coords[idx], scatter.values[idx],
+                                                    "gaussian", 0.0, 1.0, 15.0, targets[j])
+            assert values[j] == pytest.approx(float(value), abs=1e-4)
+            assert variances[j] == pytest.approx(max(float(variance), 0.0), abs=1e-12)

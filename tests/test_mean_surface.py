@@ -20,7 +20,7 @@ from polishkrige import (
     green_function,
     linear_mean_at,
 )
-from polishkrige.mean_surface import biharmonic_eval_many, linear_mean_many
+from polishkrige.mean_surface import biharmonic_deletions, biharmonic_eval_many, linear_mean_many
 
 
 class TestGreenFunction:
@@ -133,6 +133,17 @@ class TestBiharmonicFit:
     def test_negative_regularization_rejected(self):
         with pytest.raises(DataError):
             biharmonic_fit(np.array([[0.0, 0.0], [1.0, 0.0]]), [1.0, 2.0], regularization=-1e-3)
+
+    @pytest.mark.parametrize("regularization", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda c, eps: biharmonic_fit(c, [1.0, 2.0, 4.0], eps),
+        lambda c, eps: biharmonic_fit(c, [0.0, 0.0, 0.0], eps),
+        lambda c, eps: biharmonic_deletions(c, eps),
+        lambda c, eps: BiharmonicModel(2, c, [1.0, -2.0, 1.0], eps),
+    ], ids=["fit", "fit-zero-values", "deletions", "model"])
+    def test_non_finite_regularization_rejected(self, build, regularization):
+        with pytest.raises(DataError):
+            build(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), regularization)
 
     def test_dimension_override(self, rng):
         coords = rng.uniform(0, 10, size=(10, 2))

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from polishkrige import GridLattice, GridTable, decompose, node_mean, residuals_as_scatter
+from polishkrige import (
+    DataError,
+    GridLattice,
+    GridTable,
+    decompose,
+    node_mean,
+    residuals_as_scatter,
+)
 from polishkrige.median_polish import polish_stack
 
 
@@ -119,6 +126,13 @@ class TestDecompositionInvariants:
     def test_tol_zero_demands_exact_state(self):
         fit = decompose(table([[1.0, 3.0, 6.0], [2.0, 8.0, 4.0]]), tol=0.0)
         assert fit.converged  # this example reaches an exactly stationary state
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, coal_ash_grid, tol):
+        with pytest.raises(DataError):
+            decompose(coal_ash_grid, tol=tol)
+        with pytest.raises(DataError):
+            polish_stack(coal_ash_grid.cells[None], tol)
 
 
 def reference_polish(cells, tol, max_sweeps):

@@ -404,6 +404,12 @@ class TestResidualEngine:
             tracemalloc.stop()
         assert peak < 2 * 2**20 * 8
 
+    def test_wide_neighbourhood_mpk_scratch_is_bounded(self, coal_ash_grid):
+        # 100 neighbours and no spline: KrigingSystem.target_floats alone sizes
+        # the chunks, so it must count every k x k array the systems hold
+        model = fit(coal_ash_grid, "mpk", FitConfig(neighborhood=100))
+        assert self.peak(model, (60, 60)) < 2 * 2**20 * 8
+
 
 class TestCrossValidate:
     """One fold pass for both methods equals a full refit per fold."""
