@@ -213,20 +213,21 @@ def cmd_fit(args):
 
 
 def cmd_surface(args):
-    model = load_model(args.model)
-    grid = predict_grid(model, args.resolution)
-
     base, ext = os.path.splitext(args.out)
     variance_out = args.variance_out or f"{base}_variance{ext or '.csv'}"
-    write_lines(grid_csv_lines(grid.lattice, grid.values), args.out)
-    write_lines(grid_csv_lines(grid.lattice, grid.variances), variance_out)
     written = [args.out, variance_out]
     if args.pgm:
-        value_pgm = f"{base}.pgm"
-        variance_pgm = f"{os.path.splitext(variance_out)[0]}.pgm"
-        write_lines(pgm_lines(grid.values), value_pgm)
-        write_lines(pgm_lines(grid.variances), variance_pgm)
-        written += [value_pgm, variance_pgm]
+        written += [f"{base}.pgm", f"{os.path.splitext(variance_out)[0]}.pgm"]
+    if len({os.path.abspath(path) for path in written}) < len(written):
+        raise DataError("surface output paths coincide: " + ", ".join(written))
+
+    model = load_model(args.model)
+    grid = predict_grid(model, args.resolution)
+    write_lines(grid_csv_lines(grid.lattice, grid.values), written[0])
+    write_lines(grid_csv_lines(grid.lattice, grid.variances), written[1])
+    if args.pgm:
+        write_lines(pgm_lines(grid.values), written[2])
+        write_lines(pgm_lines(grid.variances), written[3])
 
     rows, cols = args.resolution
     print(f"surface {rows} x {cols} ({model.method}) written to: " + ", ".join(written))

@@ -214,8 +214,11 @@ def fit_variogram(emp, family="spherical"):
     [1e-3 max_lag, max_lag].  At a fixed range it is a convex quadratic in
     (nugget, partial sill), minimized exactly over that box; the profile over
     range is searched on a 64-point grid, then by bounded Brent around the
-    best grid point to a tolerance relative to max_lag.  The fit is
-    deterministic and equivariant under value and coordinate scaling.
+    best grid point to a tolerance relative to max_lag.  SSEs within 1e-9
+    relative count as tied, so that rounding on a flat profile does not pick
+    the range: the largest tied grid range wins, and Brent's point must beat
+    it by more than that.  The fit is deterministic and equivariant under
+    value and coordinate scaling.
 
     All-zero estimates short-circuit to the degenerate zero model with the
     warning flag set.  Raises DataError for an unknown family or fewer than
@@ -259,18 +262,17 @@ def fit_variogram(emp, family="spherical"):
         return sse[best, cols], nug[best, cols], psill[best, cols]
 
     ranges = np.linspace(1e-3 * emp.max_lag, emp.max_lag, 64)
-    i = int(np.argmin(profile(ranges)[0]))
+    sse = profile(ranges)[0]
+    i = int(np.flatnonzero(sse <= sse.min() * (1 + 1e-9))[-1])
     refined = minimize_scalar(
         lambda r: profile(np.array([r]))[0][0],
         bounds=(ranges[max(i - 1, 0)], ranges[min(i + 1, len(ranges) - 1)]),
         method="bounded",
         options={"xatol": 1e-10 * emp.max_lag},
     )
-    # Brent never evaluates its bounds, so the grid point stays a candidate
-    # and wins ties
     ranges = np.array([ranges[i], refined.x])
     sse, nug, psill = profile(ranges)
-    j = int(np.argmin(sse))
+    j = int(sse[1] < sse[0] * (1 - 1e-9))
     return VariogramModel(family, float(nug[j]), float(psill[j]), float(ranges[j]))
 
 
@@ -288,8 +290,9 @@ class KrigingSystem:
     a C that is not positive definite, or has rcond below RCOND_FLOOR,
     raises SingularSystemError.  Otherwise rcond is None and each predict
     call inverts the C of every target's k nearest points (np.hypot
-    distance, ties to the lower scatter index), raising SingularSystemError
-    if any exact rcond is below RCOND_FLOOR or an inverse does not exist.
+    distance, ties within 1e-9 relative to the lower scatter index), raising
+    SingularSystemError if any exact rcond is below RCOND_FLOOR or an inverse
+    does not exist.
     target_floats bounds the float64 scratch per target of a predict call.
     A zero-sill model predicts zero only for zero values.
     """
@@ -338,15 +341,18 @@ class KrigingSystem:
 
     def _nearest(self, targets):
         """(m, k) indices of every target's k nearest points, ascending: the
-        points strictly closer than the k-th np.hypot distance, then those at
-        exactly that distance, lowest index first.
+        points closer than the k-th np.hypot distance by more than 1e-9 of
+        it, then those within 1e-9 relative of it, lowest index first.  The
+        tie band is relative so that a coordinate scale, which rounds exactly
+        tied distances apart, selects the same points.
 
         The rule is applied to each target's c = 2k nearest candidates from
         the tree, taken in index order and measured again by np.hypot.  No
         point outside them is closer than the tree's c-th distance, so a
         target is settled once that distance exceeds the k-th by more than
-        rounding can explain; the others are retried with twice as many
-        candidates, and at c >= n the candidates are all the points.
+        the tie band and rounding can explain (2e-9 relative); the others are
+        retried with twice as many candidates, and at c >= n the candidates
+        are all the points.
         """
         k, xy, n = self.neighborhood, self.scatter.coords, self.scatter.n
         out = np.empty((len(targets), k), dtype=np.intp)
@@ -363,12 +369,12 @@ class KrigingSystem:
                 cand = np.broadcast_to(np.arange(n), (len(t), n))
             d = np.hypot(xy[cand, 0] - t[:, :1], xy[cand, 1] - t[:, 1:])
             kth = np.partition(d, k - 1, axis=1)[:, [k - 1]]
-            near = d < kth
-            tie = d == kth
+            near = d < kth * (1 - 1e-9)
+            tie = ~near & (d <= kth * (1 + 1e-9))
             need = k - np.count_nonzero(near, axis=1)[:, None]
             near |= tie & (np.cumsum(tie, axis=1) <= need)
             settled = (np.ones(len(t), dtype=bool) if c >= n else
-                       (far[:, -1] > kth[:, 0] * (1 + 1e-9)) & (far[:, -1] < np.inf))
+                       (far[:, -1] > kth[:, 0] * (1 + 2e-9)) & (far[:, -1] < np.inf))
             out[todo[settled]] = cand[settled][near[settled]].reshape(-1, k)
             todo, c = todo[~settled], 2 * c
         return out

@@ -4,9 +4,9 @@ The format is versioned and self-describing: a signature line, a method
 line, then bracketed sections of whitespace-separated key/value or record
 lines.  Floats are written with repr, which round-trips exactly, so
 save -> load -> save is byte-identical.  Each fact is stored once: the
-residuals (cell minus fitted effects), the spline centres and ridge
-(predictor.saved_spline), the variogram family (from the configuration)
-and its degenerate flag (a zero sill) are rebuilt.
+variogram family comes from the configuration and its degenerate flag from
+a zero sill, and SurfaceModel rebuilds the residuals (cell minus fitted
+effects) and the spline centres and ridge.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DataError, GridStructureError, ModelFormatError
 from .kriging import VariogramModel
-from .median_polish import polish_from_effects, residuals_as_scatter
-from .predictor import METHODS, FitConfig, SurfaceModel, saved_spline
+from .median_polish import polish_from_effects
+from .predictor import METHODS, FitConfig, SurfaceModel
 from .spatial_core import GridLattice, GridTable
 
 SIGNATURE = "polishkrige-model 3"
@@ -184,12 +184,8 @@ def load_model(path):
         variogram = VariogramModel(config.family, nugget, psill, float(vkv["range"]),
                                    degenerate=nugget + psill == 0)
 
-        residual_scatter = residuals_as_scatter(polish, lattice)
-        spline = None
-        if method == "impk":
-            strengths = _floats(_keyed(sections["spline"], "spline")["strengths"])
-            spline = saved_spline(grid, config, strengths)
+        strengths = (_floats(_keyed(sections["spline"], "spline")["strengths"])
+                     if method == "impk" else None)
+        return SurfaceModel(grid, config, polish, variogram, strengths)
     except (KeyError, ValueError, DataError, GridStructureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
-
-    return SurfaceModel(grid, config, polish, residual_scatter, variogram, spline)

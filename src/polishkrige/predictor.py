@@ -80,26 +80,28 @@ class FitConfig:
 
 
 class SurfaceModel:
-    """A fitted predictor: mean component + residual kriging inputs.
+    """A fitted predictor, built from its facts: the source grid, the config,
+    the polish, the residual variogram (fitted here when None; a given one's
+    family becomes config.family) and, for impk, the spline strengths.
 
-    The method comes from config; the mean component is the linear effect
-    model for mpk and overall plus the given spline for impk.  Immutable
-    after fit; predict calls are pure and thread-safe.  The residual-kriging
-    engine (a KrigingSystem over the residual scatter with the configured
-    neighbourhood) is built once and shared across targets.
+    It derives the residual scatter, the mean component (the linear effect
+    model for mpk; for impk the spline of the strengths on the grid's spline
+    frame, config.epsilon its ridge) and the residual-kriging engine, shared
+    across targets.  Immutable; predict calls are pure and thread-safe.
     """
 
-    def __init__(self, source_grid, config, polish, residual_scatter, variogram,
-                 spline=None):
+    def __init__(self, source_grid, config, polish, variogram=None, strengths=None):
+        if variogram is not None:
+            config = replace(config, family=variogram.family)
         self.method = config.method
-        self.mean_component = (LinearMeanModel(polish, source_grid.lattice)
-                               if self.method == "mpk" else spline)
-        self.polish = polish
-        self.residual_scatter = residual_scatter
-        self.variogram = variogram
         self.source_grid = source_grid
         self.config = config
-        self._system = KrigingSystem(residual_scatter, variogram, config.neighborhood)
+        self.polish = polish
+        self._system = _residual_system(polish, source_grid.lattice, config, variogram)
+        self.residual_scatter, self.variogram = self._system.scatter, self._system.model
+        self.mean_component = (
+            LinearMeanModel(polish, source_grid.lattice) if self.method == "mpk" else
+            BiharmonicModel(2, _spline_frame(source_grid)[0], strengths, config.epsilon))
 
     def mean_at(self, points):
         """Mean-surface values at an (M, 2) array of locations."""
@@ -109,32 +111,35 @@ class SurfaceModel:
         return self.polish.overall + biharmonic_eval_many(self.mean_component, points / spacing)
 
 
+def _residual_system(polish, lattice, config, variogram=None):
+    """The residual-kriging stage of a polish: a KrigingSystem over its
+    residual scatter, under variogram or else the config's variogram fitted
+    to that scatter."""
+    scatter = residuals_as_scatter(polish, lattice)
+    if variogram is None:
+        emp = empirical_semivariogram(scatter, n_bins=config.n_bins, max_lag=config.max_lag)
+        variogram = fit_variogram(emp, family=config.family)
+    return KrigingSystem(scatter, variogram, config.neighborhood)
+
+
 def fit(grid, method, config=None, variogram=None):
     """Fit a SurfaceModel of the requested method to a GridTable.
 
-    Runs median polish, extracts the residual scatter, fits the impk spline
-    through the row plus column effects at the observed cells (the overall
-    level is added back on evaluation, so a shift of the values moves every
-    prediction by exactly that shift), and fits the residual variogram.  A
-    pre-fitted variogram may be supplied to skip estimation (used by
-    cross-validation with freeze_variogram).  Deterministic for fixed
+    Runs median polish and, for impk, fits the spline strengths through the
+    row plus column effects at the observed cells (the overall level is
+    added back on evaluation, so a shift of the values moves every
+    prediction by exactly that shift); SurfaceModel derives the rest.  A
+    supplied variogram is used as it is instead of being fitted to the
+    residuals, and its family becomes the model's.  Deterministic for fixed
     inputs.
     """
-    config = config or FitConfig()
-    if config.method != method:
-        config = replace(config, method=method)
-
+    config = replace(config or FitConfig(), method=method)
     polish = decompose(grid, tol=config.mp_tol, max_sweeps=config.max_sweeps)
-    residual_scatter = residuals_as_scatter(polish, grid.lattice)
-
-    spline = None
+    strengths = None
     if method == "impk":
         centers, effects = _spline_frame(grid)
-        spline = biharmonic_fit(centers, effects(polish), config.epsilon)
-
-    if variogram is None:
-        variogram = _fit_residual_variogram(residual_scatter, config)
-    return SurfaceModel(grid, config, polish, residual_scatter, variogram, spline)
+        strengths = biharmonic_fit(centers, effects(polish), config.epsilon).strengths
+    return SurfaceModel(grid, config, polish, variogram, strengths)
 
 
 def _spline_frame(grid):
@@ -144,17 +149,6 @@ def _spline_frame(grid):
     rows, cols = np.nonzero(grid.present_mask)
     return (grid.to_scatter().coords / grid.lattice.spacing,
             lambda polish: polish.row_effects[rows] + polish.col_effects[cols])
-
-
-def saved_spline(grid, config, strengths):
-    """The impk spline of a saved model: the strengths on grid's spline frame,
-    with config.epsilon as its ridge."""
-    return BiharmonicModel(2, _spline_frame(grid)[0], strengths, config.epsilon)
-
-
-def _fit_residual_variogram(scatter, config):
-    emp = empirical_semivariogram(scatter, n_bins=config.n_bins, max_lag=config.max_lag)
-    return fit_variogram(emp, family=config.family)
 
 
 def predict_many(model, points):
@@ -313,7 +307,6 @@ def cross_validate(grid, methods, config=None):
         """{method: (value, variance) or skip reason} for deleted cell i."""
         means, reasons = {}, {}
         try:
-            scatter = residuals_as_scatter(polish, lat)
             if "mpk" in methods:
                 means["mpk"] = linear_mean_many(LinearMeanModel(polish, lat), xy)[0]
             if "impk" in methods:
@@ -321,8 +314,7 @@ def cross_validate(grid, methods, config=None):
                     means["impk"] = polish.overall + deletion(i, effects(polish))
                 except PolishKrigeError as exc:
                     reasons["impk"] = f"{exc.category}: {exc}"
-            variogram = frozen or _fit_residual_variogram(scatter, config)
-            resid, var = KrigingSystem(scatter, variogram, config.neighborhood).predict_many(xy)
+            resid, var = _residual_system(polish, lat, config, frozen).predict_many(xy)
         except PolishKrigeError as exc:
             return {m: reasons.get(m, f"{exc.category}: {exc}") for m in methods}
         return {m: reasons.get(m) or (float(means[m] + resid[0]), float(var[0]))

@@ -226,6 +226,20 @@ class TestSurfaceCommand:
             assert len(raster) == 30
             assert min(raster) == 0 and max(raster) == 255
 
+    @pytest.mark.parametrize("out,variance_out,pgm", [
+        ("a.csv", "a.txt", True),
+        ("b.csv", "b.csv", False),
+        ("c.csv", "./c.csv", False),
+    ], ids=["pgm", "csv", "same-file"])
+    def test_coinciding_outputs_are_refused(self, model_path, tmp_path, monkeypatch, capsys,
+                                            out, variance_out, pgm):
+        monkeypatch.chdir(tmp_path)
+        argv = ["surface", model_path, "--resolution", "4x4", "--out", out,
+                "--variance-out", variance_out] + ["--pgm"] * pgm
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("bad-input: surface output paths coincide")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv", "run.model"]
+
     def test_grid_csv_matches_per_value_formatting(self):
         lattice = GridLattice([-1.25, 0.0, 0.1, 1e6 / 3], [-0.0, 2.0000005, 7.1234565])
         values = np.array([[-0.0, 4e-7, -4e-7, 1e12],

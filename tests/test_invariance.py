@@ -30,19 +30,10 @@ from polishkrige import (
 
 SEEDS = (0, 1)
 
-# On these small lattices the spherical fit is not identifiable: its range
-# falls between the first two lag centres, where a one-parameter family of
-# (nugget, partial sill, range) fits every binned estimate equally well, so
-# last-bit changes in the residuals move it along that ridge and the kriged
-# predictions by up to about 1e-3 of the data range.
-RIDGE = pytest.mark.xfail(strict=True, reason="spherical variogram fit is not identifiable")
 
-
-def families_with(values, exact=()):
-    """(family, value) cases; the spherical ones are expected to fail unless
-    the transform is exact in floating point."""
-    return [pytest.param(f, v, marks=RIDGE if f == "spherical" and v not in exact else ())
-            for f in ("spherical", "exponential", "gaussian") for v in values]
+def families_with(values):
+    """(family, value) cases over the three variogram families."""
+    return [(f, v) for f in ("spherical", "exponential", "gaussian") for v in values]
 
 
 def random_grid(seed):
@@ -106,7 +97,7 @@ def test_value_shift(family, shift):
         assert_transformed(got, base_cv(seed, family), data_range(grid), shift=shift)
 
 
-@pytest.mark.parametrize("family,scale", families_with([1e-3, -2.0, 1e4], exact=[-2.0]))
+@pytest.mark.parametrize("family,scale", families_with([1e-3, -2.0, 1e4]))
 def test_value_scale(family, scale):
     for seed in SEEDS:
         grid = random_grid(seed)
@@ -151,12 +142,6 @@ def test_csv_row_order(family, tmp_path):
 
 NEIGHBORHOODS = (None, 16)
 FAMILIES = ("spherical", "exponential", "gaussian")
-
-# The neighbourhood is the k smallest np.hypot distances with exact ties to
-# the lower index.  Nodes and cell centres of a lattice tie exactly, and a
-# coordinate scale rounds the tied distances apart, so the scaled fit picks
-# other neighbours at up to a quarter of these targets.
-TIES = pytest.mark.xfail(strict=True, reason="coordinate scale reorders ties at the k-th distance")
 
 
 def surface_targets(grid, seed):
@@ -228,7 +213,7 @@ def test_surface_coordinate_translation(family, neighborhood):
         assert_surfaces(got, base_surfaces(seed, family, neighborhood), data_range(grid))
 
 
-@pytest.mark.parametrize("neighborhood", [None, pytest.param(16, marks=TIES)])
+@pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
 @pytest.mark.parametrize("scale", [0.1, 1e3])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_surface_coordinate_scale(family, scale, neighborhood):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -457,7 +458,11 @@ class TestNearestSelection:
 
     @staticmethod
     def reference(scatter, targets, k):
+        """The first k of a stable argsort of the distances, with those within
+        1e-9 relative of the k-th set equal to it."""
         d = np.hypot(scatter.coords[:, 0] - targets[:, :1], scatter.coords[:, 1] - targets[:, 1:])
+        kth = np.sort(d, axis=1)[:, k - 1:k]
+        d = np.where(np.abs(d - kth) <= 1e-9 * kth, kth, d)
         return np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
 
     @staticmethod
@@ -524,8 +529,13 @@ class TestNearestSelection:
     @pytest.mark.parametrize("shift,scale", [(0.0, 1e-6), (0.0, 1e6), (1e6, 1.0)])
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_scaled_and_translated_coordinates(self, rng, shift, scale, k):
+        # the moved lattice rounds its exact ties apart, but they stay within
+        # the tie band, so it selects what the unit lattice selects
+        unit = self.lattice(copy.deepcopy(rng))
         scatter, targets = self.lattice(rng, shift, scale)
         self.assert_matches(scatter, targets, k)
+        np.testing.assert_array_equal(self.reference(scatter, targets, k),
+                                      self.reference(*unit, k))
 
     @pytest.mark.parametrize("k", [None, 5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -6,6 +6,7 @@ from polishkrige import (
     GridLattice,
     GridTable,
     ModelFormatError,
+    VariogramModel,
     fit,
     load_model,
     predict_many,
@@ -101,6 +102,23 @@ class TestRoundTrip:
         save_model(fitted, a)
         save_model(load_model(a), b)
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    def test_supplied_variogram_family_survives(self, coal_ash_grid, method, tmp_path):
+        # the file keeps the family only in [config], so the fitted model must
+        # take it from the supplied variogram, not from config.family
+        variogram = VariogramModel("gaussian", 0.5, 8.0, 6.0)
+        fitted = fit(coal_ash_grid, method, FitConfig(family="spherical"), variogram=variogram)
+        assert fitted.variogram == variogram
+        assert fitted.config.family == "gaussian"
+        path = tmp_path / "supplied.model"
+        save_model(fitted, path)
+        loaded = load_model(path)
+        pts = np.array([[3.3, 7.7], [1.0, 1.0], [12.5, 20.25], [8.0, 4.5]])
+        base_v, base_s2 = predict_many(fitted, pts)
+        got_v, got_s2 = predict_many(loaded, pts)
+        np.testing.assert_array_equal(got_v, base_v)
+        np.testing.assert_array_equal(got_s2, base_s2)
 
 
 class TestFormatErrors:

@@ -6,7 +6,6 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from polishkrige import (
-    BiharmonicModel,
     CvReport,
     DataError,
     FitConfig,
@@ -27,7 +26,6 @@ from polishkrige import (
     predict_grid,
     predict_many,
     rmse,
-    residuals_as_scatter,
 )
 from polishkrige.predictor import SurfaceModel
 
@@ -390,11 +388,9 @@ class TestResidualEngine:
         cells[rng.random((55, 55)) < 0.05] = np.nan
         grid = GridTable(GridLattice(np.arange(55.0), np.arange(55.0)), cells)
         config = FitConfig(method="impk", neighborhood=16)
-        polish = decompose(grid)
-        scatter = residuals_as_scatter(polish, grid.lattice)
-        spline = BiharmonicModel(2, scatter.coords, rng.normal(size=scatter.n))
-        model = SurfaceModel(grid, config, polish, scatter,
-                             VariogramModel("exponential", 0.05, 1.0, 8.0), spline)
+        model = SurfaceModel(grid, config, decompose(grid),
+                             VariogramModel("exponential", 0.05, 1.0, 8.0),
+                             rng.normal(size=grid.n_present))
         points = rng.uniform(-2.0, 56.0, size=(3000, 2))
         tracemalloc.start()
         try:
