@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, PolishKrigeError
 from .kriging import FAMILIES
-from .model_io import load_model, save_model
+from .model_io import CODEC, fields_of, load_model, read_field, save_model
 from .predictor import METHODS, FitConfig, cross_validate, fit, predict_grid
 from .spatial_core import load_observations_csv, to_grid
 
@@ -75,35 +75,27 @@ def parse_config_file(path):
     return out
 
 
-def _parse_bool(text):
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # the one list of fit knobs: flag name (also its config-file key) ->
-# (FitConfig field, argparse options of the flag)
+# (FitConfig field, argparse options of the flag); a valued flag's type is
+# its field's reader
 _KNOB_FLAGS = {
     "method": ("method", dict(choices=list(METHODS), help="prediction method")),
     "variogram": ("family", dict(choices=list(FAMILIES), help="variogram family")),
-    "bins": ("n_bins", dict(type=int, metavar="N", help="variogram bins (default 15)")),
-    "max-lag": ("max_lag", dict(type=float, metavar="R",
-                                help="variogram cutoff (default: half the max pair distance)")),
-    "mp-tol": ("mp_tol", dict(type=float, metavar="T",
-                              help="median-polish tolerance (default: 1e-9 x data spread)")),
-    "max-sweeps": ("max_sweeps", dict(type=int, metavar="N",
-                                      help="median-polish sweep budget (default 100)")),
-    "epsilon": ("epsilon", dict(type=float, metavar="E",
-                                help="spline ridge regularization (default 0)")),
+    "bins": ("n_bins", dict(metavar="N", help="variogram bins (default 15)")),
+    "max-lag": ("max_lag", dict(
+        metavar="R", help="variogram cutoff (default: half the max pair distance)")),
+    "mp-tol": ("mp_tol", dict(
+        metavar="T", help="median-polish tolerance (default: 1e-9 x data spread)")),
+    "max-sweeps": ("max_sweeps", dict(
+        metavar="N", help="median-polish sweep budget (default 100)")),
+    "epsilon": ("epsilon", dict(metavar="E", help="spline ridge regularization (default 0)")),
     "freeze-variogram": ("freeze_variogram", dict(
         action="store_true", default=None,
         help="fit the variogram once on the full data during cv")),
-    "neighborhood": ("neighborhood", dict(type=int, metavar="K",
-                                          help="restrict kriging to the K nearest residuals")),
+    "neighborhood": ("neighborhood", dict(
+        metavar="K", help="restrict kriging to the K nearest residuals")),
 }
+_FIELDS = fields_of(FitConfig)
 
 
 def build_config(args):
@@ -116,15 +108,13 @@ def build_config(args):
     """
     file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
     values = {}
-    for key, (field, options) in _KNOB_FLAGS.items():
+    for key, (field, _) in _KNOB_FLAGS.items():
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             values[field] = flag
         elif key in file_cfg:
-            # a file value is parsed by the flag's type, or as a boolean for a switch
-            cast = _parse_bool if "action" in options else options.get("type", str)
             try:
-                values[field] = cast(file_cfg[key])
+                values[field] = read_field(_FIELDS[field], file_cfg[key])
             except ValueError as exc:
                 raise DataError(f"config file: bad value for {key}: {exc}") from None
     return FitConfig(**values)
@@ -185,14 +175,22 @@ def render_cv_comparison(reports):
     return lines
 
 
-def _load_grid(args):
-    scatter = load_observations_csv(resolve_input(args.input))
-    return scatter, to_grid(scatter)
+def _refuse_overwrites(command, outputs, inputs):
+    """DataError unless the output paths (by os.path.realpath, None aside)
+    differ from each other and from every input; called before any write."""
+    written = [os.path.realpath(path) for path in outputs if path]
+    read = {os.path.realpath(path) for path in inputs if path}
+    if len(set(written)) < len(written) or read.intersection(written):
+        raise DataError(f"{command} output paths coincide with each other or an input: "
+                        + ", ".join(str(path) for path in outputs if path))
 
 
 def cmd_fit(args):
     config = build_config(args)
-    scatter, grid = _load_grid(args)
+    source = resolve_input(args.input)
+    _refuse_overwrites("fit", [args.out], [source, args.config])
+    scatter = load_observations_csv(source)
+    grid = to_grid(scatter)
     model = fit(grid, config.method, config)
     save_model(model, args.out)
 
@@ -218,8 +216,7 @@ def cmd_surface(args):
     written = [args.out, variance_out]
     if args.pgm:
         written += [f"{base}.pgm", f"{os.path.splitext(variance_out)[0]}.pgm"]
-    if len({os.path.abspath(path) for path in written}) < len(written):
-        raise DataError("surface output paths coincide: " + ", ".join(written))
+    _refuse_overwrites("surface", written, [args.model])
 
     model = load_model(args.model)
     grid = predict_grid(model, args.resolution)
@@ -236,9 +233,13 @@ def cmd_surface(args):
 
 def cmd_cv(args):
     config = build_config(args)
-    _, grid = _load_grid(args)
     methods = ("mpk", "impk") if args.both else (config.method,)
-    reports = cross_validate(grid, methods, config)
+    # --both: one report file per method, if --out; else one report, None to stdout
+    base, ext = os.path.splitext(args.out or "")
+    reports_out = [f"{base}.{m}{ext}" for m in methods if args.out] if args.both else [args.out]
+    source = resolve_input(args.input)
+    _refuse_overwrites("cv", reports_out, [source, args.config])
+    reports = cross_validate(to_grid(load_observations_csv(source)), methods, config)
 
     for report in reports:
         if report.skipped:
@@ -246,19 +247,17 @@ def cmd_cv(args):
         if report.unconverged:
             print(f"unconverged folds ({report.method}): {report.unconverged}", file=sys.stderr)
 
+    for report, path in zip(reports, reports_out):
+        write_lines(render_cv_csv(report), path)
     if args.both:
-        if args.out:
-            base, ext = os.path.splitext(args.out)
-            for report in reports:
-                write_lines(render_cv_csv(report), f"{base}.{report.method}{ext}")
         write_lines(render_cv_comparison(reports))
-    else:
-        write_lines(render_cv_csv(reports[0]), args.out)
     return 0
 
 
 def _add_config_flags(sp):
-    for key, (_, options) in _KNOB_FLAGS.items():
+    for key, (field, options) in _KNOB_FLAGS.items():
+        if "action" not in options:
+            options = dict(options, type=CODEC[_FIELDS[field][0]][1])
         sp.add_argument(f"--{key}", **options)
     sp.add_argument("--config", metavar="FILE",
                     help="key=value config file; flags take precedence")

@@ -65,15 +65,14 @@ class VariogramModel:
 
     range is the practical range for the exponential and gaussian families
     (95% of the sill is reached at h = range) and the exact range for the
-    spherical.  degenerate flags the all-zero fit returned for data with no
-    variability; it is a warning marker, not an error.
+    spherical.  A zero sill marks the degenerate fit returned for data with
+    no variability; it is a warning, not an error.
     """
 
     family: str
     nugget: float
     partial_sill: float
     range: float
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -86,6 +85,10 @@ class VariogramModel:
     @property
     def sill(self):
         return self.nugget + self.partial_sill
+
+    @property
+    def degenerate(self):
+        return self.sill == 0
 
 
 @dataclass(frozen=True)
@@ -220,9 +223,9 @@ def fit_variogram(emp, family="spherical"):
     it by more than that.  The fit is deterministic and equivariant under
     value and coordinate scaling.
 
-    All-zero estimates short-circuit to the degenerate zero model with the
-    warning flag set.  Raises DataError for an unknown family or fewer than
-    3 occupied bins.
+    All-zero estimates short-circuit to the degenerate zero model (zero
+    sill); any other fit has a positive sill.  Raises DataError for an
+    unknown family or fewer than 3 occupied bins.
     """
     # imported here: loading a model and predicting never fit a variogram
     from scipy.optimize import minimize_scalar
@@ -230,7 +233,7 @@ def fit_variogram(emp, family="spherical"):
     if family not in FAMILIES:
         raise DataError(f"unknown variogram family {family!r}")
     if np.all(emp.gamma == 0):
-        return VariogramModel(family, 0.0, 0.0, emp.max_lag, degenerate=True)
+        return VariogramModel(family, 0.0, 0.0, emp.max_lag)
     if emp.n_bins < 3:
         raise DataError(f"variogram fit needs at least 3 occupied bins, got {emp.n_bins}")
 

@@ -1,12 +1,16 @@
-"""Plain-text serialization of fitted surface models.
+"""Plain-text serialization of fitted surface models, and the one text form
+of a value that the model file and the CLI config file share.
 
 The format is versioned and self-describing: a signature line, a method
 line, then bracketed sections of whitespace-separated key/value or record
-lines.  Floats are written with repr, which round-trips exactly, so
-save -> load -> save is byte-identical.  Each fact is stored once: the
-variogram family comes from the configuration and its degenerate flag from
-a zero sill, and SurfaceModel rebuilds the residuals (cell minus fitted
-effects) and the spline centres and ridge.
+lines.  [lattice] holds the x and y coordinates and [grid] one "k l value"
+record per present cell; every other section holds its object's fields by
+name, in field order (SECTIONS).  A value's text follows its field's
+annotation (CODEC): floats are written with repr, which round-trips exactly,
+so save -> load -> save is byte-identical; booleans are written 0/1; "none"
+marks an unset field whose default is None.  Each fact is stored once: the
+variogram family comes from the configuration, and SurfaceModel rebuilds the
+residuals (cell minus fitted effects) and the spline centres and ridge.
 """
 
 from __future__ import annotations
@@ -18,67 +22,78 @@ import numpy as np
 
 from .errors import DataError, GridStructureError, ModelFormatError
 from .kriging import VariogramModel
-from .median_polish import polish_from_effects
-from .predictor import METHODS, FitConfig, SurfaceModel
+from .mean_surface import BiharmonicModel
+from .median_polish import MedianPolishFit, polish_from_effects
+from .predictor import FitConfig, SurfaceModel
 from .spatial_core import GridLattice, GridTable
 
 SIGNATURE = "polishkrige-model 3"
 
 
-def _fmt(v):
-    return repr(float(v))
+def _read_bool(text):
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-# [config] holds every FitConfig field but method, in field order, as text
-# written and read by the field's annotation; "none" stands for None only
-# where None is the field's default
-_TEXT = {str: (str, str), int: (str, int), float: (_fmt, float),
-         bool: (lambda v: str(int(v)), lambda t: bool(int(t)))}
-_HINTS = typing.get_type_hints(FitConfig)
-_KNOBS = [(f.name, f.default is None, *_TEXT[_HINTS[f.name]])
-          for f in dataclasses.fields(FitConfig) if f.name != "method"]
+# annotation -> (write, read) of a value's text
+CODEC = {
+    str: (str, str),
+    int: (str, int),
+    float: (lambda v: repr(float(v)), float),
+    bool: (lambda v: str(int(v)), _read_bool),
+    np.ndarray: (lambda v: " ".join(repr(float(x)) for x in v),
+                 lambda t: np.array([float(x) for x in t.split()])),
+}
+_write_floats, _read_floats = CODEC[np.ndarray]
 
 
-def _vector(values):
-    return " ".join(_fmt(v) for v in values)
+def fields_of(cls, skip=()):
+    """{field name: (annotation, whether None is its default)} of a
+    dataclass, in field order, less the names in skip."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is None)
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def read_field(field, text):
+    """The value of a field's text; ValueError if the text is not one."""
+    kind, optional = field
+    return None if optional and text == "none" else CODEC[kind][1](text)
+
+
+# section -> the fields of its dataclass that it holds
+SECTIONS = {
+    "polish": fields_of(MedianPolishFit, {"residuals"}),
+    "variogram": fields_of(VariogramModel, {"family"}),
+    "spline": fields_of(BiharmonicModel, {"dimension", "centers", "regularization"}),
+    "config": fields_of(FitConfig, {"method"}),
+}
+
+
+def _section(name, obj):
+    lines = [f"[{name}]"]
+    for key, (kind, _) in SECTIONS[name].items():
+        value = getattr(obj, key)
+        lines.append(f"{key} {'none' if value is None else CODEC[kind][0](value)}")
+    return lines
 
 
 def save_model(model, path):
     """Write a SurfaceModel to a versioned text file."""
     grid = model.source_grid
-    lat = grid.lattice
-    polish = model.polish
-    vg = model.variogram
-
-    lines = [SIGNATURE, f"method {model.method}"]
-    lines.append("[lattice]")
-    lines.append(f"x {_vector(lat.x_coords)}")
-    lines.append(f"y {_vector(lat.y_coords)}")
-
-    lines.append("[grid]")
+    lines = [SIGNATURE, f"method {model.method}", "[lattice]",
+             f"x {_write_floats(grid.lattice.x_coords)}",
+             f"y {_write_floats(grid.lattice.y_coords)}", "[grid]"]
     for k, l in zip(*np.nonzero(grid.present_mask)):
-        lines.append(f"{k} {l} {_fmt(grid.cells[k, l])}")
-
-    lines.append("[polish]")
-    lines.append(f"overall {_fmt(polish.overall)}")
-    lines.append(f"row_effects {_vector(polish.row_effects)}")
-    lines.append(f"col_effects {_vector(polish.col_effects)}")
-    lines.append(f"sweeps {polish.sweeps}")
-    lines.append(f"converged {int(polish.converged)}")
-
-    lines.append("[variogram]")
-    lines.append(f"nugget {_fmt(vg.nugget)}")
-    lines.append(f"partial_sill {_fmt(vg.partial_sill)}")
-    lines.append(f"range {_fmt(vg.range)}")
-
+        lines.append(f"{k} {l} {float(grid.cells[k, l])!r}")
+    lines += _section("polish", model.polish) + _section("variogram", model.variogram)
     if model.method == "impk":
-        lines.append("[spline]")
-        lines.append(f"strengths {_vector(model.mean_component.strengths)}")
-
-    lines.append("[config]")
-    for name, _, write, _ in _KNOBS:
-        value = getattr(model.config, name)
-        lines.append(f"{name} {'none' if value is None else write(value)}")
+        lines += _section("spline", model.mean_component)
+    lines += _section("config", model.config)
 
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -110,6 +125,11 @@ def _keyed(section_lines, section):
     return out
 
 
+def _read_section(sections, name):
+    values = _keyed(sections[name], name)
+    return {key: read_field(field, values[key]) for key, field in SECTIONS[name].items()}
+
+
 def _grid_cells(section_lines, p, q):
     cells = np.full((p, q), np.nan)
     for line_no, raw in section_lines:
@@ -122,10 +142,6 @@ def _grid_cells(section_lines, p, q):
             raise ModelFormatError(f"line {line_no}: cell ({k}, {l}) outside {p} x {q}")
         cells[k, l] = v
     return cells
-
-
-def _floats(text):
-    return np.array([float(t) for t in text.split()])
 
 
 def load_model(path):
@@ -148,44 +164,20 @@ def load_model(path):
     if len(lines) < 2 or not lines[1][1].startswith("method "):
         raise ModelFormatError(f"{path}: missing method line")
     method = lines[1][1].split(" ", 1)[1]
-    if method not in METHODS:
-        raise ModelFormatError(f"{path}: unknown method {method!r}")
 
     sections = _split_sections(lines[2:])
-    required = ["lattice", "grid", "polish", "variogram", "config"]
-    if method == "impk":
-        required.append("spline")
-    for name in required:
-        if name not in sections:
+    for name in ["lattice", "grid", *SECTIONS]:
+        if name not in sections and (name != "spline" or method == "impk"):
             raise ModelFormatError(f"{path}: missing section [{name}]")
 
     try:
         latkv = _keyed(sections["lattice"], "lattice")
-        lattice = GridLattice(_floats(latkv["x"]), _floats(latkv["y"]))
+        lattice = GridLattice(_read_floats(latkv["x"]), _read_floats(latkv["y"]))
         grid = GridTable(lattice, _grid_cells(sections["grid"], lattice.p, lattice.q))
-
-        pkv = _keyed(sections["polish"], "polish")
-        polish = polish_from_effects(
-            grid.cells,
-            float(pkv["overall"]),
-            _floats(pkv["row_effects"]),
-            _floats(pkv["col_effects"]),
-            int(pkv["sweeps"]),
-            bool(int(pkv["converged"])),
-        )
-
-        ckv = _keyed(sections["config"], "config")
-        config = FitConfig(method=method, **{
-            name: None if optional and ckv[name] == "none" else read(ckv[name])
-            for name, optional, _, read in _KNOBS})
-
-        vkv = _keyed(sections["variogram"], "variogram")
-        nugget, psill = float(vkv["nugget"]), float(vkv["partial_sill"])
-        variogram = VariogramModel(config.family, nugget, psill, float(vkv["range"]),
-                                   degenerate=nugget + psill == 0)
-
-        strengths = (_floats(_keyed(sections["spline"], "spline")["strengths"])
-                     if method == "impk" else None)
-        return SurfaceModel(grid, config, polish, variogram, strengths)
+        polish = polish_from_effects(grid.cells, **_read_section(sections, "polish"))
+        config = FitConfig(method=method, **_read_section(sections, "config"))
+        variogram = VariogramModel(config.family, **_read_section(sections, "variogram"))
+        spline = _read_section(sections, "spline") if method == "impk" else {}
+        return SurfaceModel(grid, config, polish, variogram, **spline)
     except (KeyError, ValueError, DataError, GridStructureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc

@@ -27,6 +27,7 @@ from .kriging import (
 from .mean_surface import (
     BiharmonicModel,
     LinearMeanModel,
+    _as_points,
     biharmonic_deletions,
     biharmonic_eval_many,
     biharmonic_fit,
@@ -81,13 +82,14 @@ class FitConfig:
 
 class SurfaceModel:
     """A fitted predictor, built from its facts: the source grid, the config,
-    the polish, the residual variogram (fitted here when None; a given one's
-    family becomes config.family) and, for impk, the spline strengths.
+    the polish, the residual variogram and, for impk, the spline strengths.
+    Either is fitted here when None, and a given variogram's family becomes
+    config.family.
 
-    It derives the residual scatter, the mean component (the linear effect
-    model for mpk; for impk the spline of the strengths on the grid's spline
-    frame, config.epsilon its ridge) and the residual-kriging engine, shared
-    across targets.  Immutable; predict calls are pure and thread-safe.
+    It derives the mean component (the linear effect model for mpk, the impk
+    spline on the grid's spline frame, config.epsilon its ridge), then the
+    residual scatter and the residual-kriging engine, shared across targets.
+    Immutable; predict calls are pure and thread-safe.
     """
 
     def __init__(self, source_grid, config, polish, variogram=None, strengths=None):
@@ -97,11 +99,15 @@ class SurfaceModel:
         self.source_grid = source_grid
         self.config = config
         self.polish = polish
+        if self.method == "mpk":
+            self.mean_component = LinearMeanModel(polish, source_grid.lattice)
+        else:
+            centers, effects = _spline_frame(source_grid)
+            self.mean_component = (
+                biharmonic_fit(centers, effects(polish), config.epsilon) if strengths is None
+                else BiharmonicModel(2, centers, strengths, config.epsilon))
         self._system = _residual_system(polish, source_grid.lattice, config, variogram)
         self.residual_scatter, self.variogram = self._system.scatter, self._system.model
-        self.mean_component = (
-            LinearMeanModel(polish, source_grid.lattice) if self.method == "mpk" else
-            BiharmonicModel(2, _spline_frame(source_grid)[0], strengths, config.epsilon))
 
     def mean_at(self, points):
         """Mean-surface values at an (M, 2) array of locations."""
@@ -123,23 +129,17 @@ def _residual_system(polish, lattice, config, variogram=None):
 
 
 def fit(grid, method, config=None, variogram=None):
-    """Fit a SurfaceModel of the requested method to a GridTable.
-
-    Runs median polish and, for impk, fits the spline strengths through the
-    row plus column effects at the observed cells (the overall level is
-    added back on evaluation, so a shift of the values moves every
-    prediction by exactly that shift); SurfaceModel derives the rest.  A
+    """Fit a SurfaceModel of the requested method to a GridTable: median
+    polish, then SurfaceModel fits the rest (for impk the spline is fitted to
+    the effects alone and the overall level is added back on evaluation, so a
+    shift of the values moves every prediction by exactly that shift).  A
     supplied variogram is used as it is instead of being fitted to the
     residuals, and its family becomes the model's.  Deterministic for fixed
     inputs.
     """
     config = replace(config or FitConfig(), method=method)
     polish = decompose(grid, tol=config.mp_tol, max_sweeps=config.max_sweeps)
-    strengths = None
-    if method == "impk":
-        centers, effects = _spline_frame(grid)
-        strengths = biharmonic_fit(centers, effects(polish), config.epsilon).strengths
-    return SurfaceModel(grid, config, polish, variogram, strengths)
+    return SurfaceModel(grid, config, polish, variogram)
 
 
 def _spline_frame(grid):
@@ -173,8 +173,11 @@ def predict_many(model, points):
 
 
 def predict(model, s):
-    """Prediction (value and residual-kriging variance) at one Location2D."""
-    values, variances = predict_many(model, np.array([[s.x, s.y]]))
+    """Prediction (value and residual-kriging variance) at a Location2D or (x, y) pair."""
+    points = _as_points(s, 2)
+    if len(points) != 1:
+        raise DataError(f"predict takes one location, got {len(points)}; see predict_many")
+    values, variances = predict_many(model, points)
     return KrigingPrediction(value=float(values[0]), variance=float(variances[0]))
 
 

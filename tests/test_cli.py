@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import polishkrige
-from polishkrige import DataError, FitConfig, GridLattice, Location2D, load_model
+from polishkrige import (DataError, FitConfig, GridLattice, GridTable, Location2D,
+                         cross_validate, load_model)
 from polishkrige.cli import (
     grid_csv_lines,
     main,
@@ -18,8 +19,8 @@ from polishkrige.cli import (
     pgm_lines,
     render_cv_csv,
     resolve_input,
-    _parse_bool,
 )
+from polishkrige.model_io import read_field
 from polishkrige.predictor import CvRecord, CvReport
 
 SIX_DP = re.compile(r"^-?\d+\.\d{6}$")
@@ -55,11 +56,11 @@ class TestParsing:
         ("false", False), ("0", False), ("No", False), ("off", False),
     ])
     def test_bool_values(self, text, expect):
-        assert _parse_bool(text) is expect
+        assert read_field((bool, False), text) is expect
 
     def test_bool_rejects(self):
         with pytest.raises(ValueError):
-            _parse_bool("maybe")
+            read_field((bool, False), "maybe")
 
     def test_config_file_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -180,6 +181,42 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("bad-input:")
 
 
+    @pytest.mark.parametrize("target", ["input", "config"])
+    def test_output_over_an_input_is_refused(self, csv_path, tmp_path, capsys, target):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bins=9\n")
+        victim = {"input": csv_path, "config": cfg}[target]
+        before = victim.read_bytes()
+        assert run(["fit", csv_path, "--config", cfg, "--out", victim]) == 1
+        assert capsys.readouterr().err.startswith("bad-input: fit output paths coincide")
+        assert victim.read_bytes() == before
+
+    def test_config_file_none_unsets_an_optional_knob(self, csv_path, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-lag=none\nmp-tol=none\nneighborhood=none\n")
+        out = tmp_path / "m"
+        assert run(["fit", csv_path, "--config", cfg, "--out", out]) == 0
+        assert load_model(out).config == FitConfig()
+
+    @pytest.mark.parametrize("line", ["bins=none", "freeze-variogram=none", "epsilon=none",
+                                      "freeze-variogram=2"])
+    def test_none_or_bad_boolean_for_a_required_knob_is_bad_input(self, csv_path, tmp_path,
+                                                                   capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["fit", csv_path, "--config", cfg, "--out", tmp_path / "m"]) == 1
+        assert capsys.readouterr().err.startswith("bad-input: config file: bad value")
+
+    def test_constant_values_warn_of_a_degenerate_variogram(self, tmp_path, capsys):
+        csv = tmp_path / "flat.csv"
+        csv.write_text("x,y,z\n" + "".join(f"{x},{y},3.25\n" for x in range(5) for y in range(4)))
+        out = tmp_path / "flat.model"
+        assert run(["fit", csv, "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "warning: degenerate variogram (residuals have no variability)" in lines
+        assert load_model(out).variogram.degenerate
+
+
 class TestSurfaceCommand:
     @pytest.fixture
     def model_path(self, csv_path, tmp_path, capsys):
@@ -239,6 +276,15 @@ class TestSurfaceCommand:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("bad-input: surface output paths coincide")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv", "run.model"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--variance-out"])
+    def test_output_over_the_model_is_refused(self, model_path, tmp_path, capsys, flag):
+        before = model_path.read_bytes()
+        argv = ["surface", model_path, "--resolution", "4x4", "--out", tmp_path / "s.csv"]
+        assert run(argv + [flag, model_path]) == 1
+        assert capsys.readouterr().err.startswith("bad-input: surface output paths coincide")
+        assert model_path.read_bytes() == before
+        assert load_model(model_path).method == "mpk"
 
     def test_grid_csv_matches_per_value_formatting(self):
         lattice = GridLattice([-1.25, 0.0, 0.1, 1e6 / 3], [-0.0, 2.0000005, 7.1234565])
@@ -319,6 +365,33 @@ class TestCvCommand:
         assert captured.err.splitlines() == ["unconverged folds (mpk): 2",
                                              "unconverged folds (impk): 2"]
         assert captured.out.splitlines()[1:] == ["MPK,1.579332,208,0", "IMPK,1.375924,208,0"]
+
+    @pytest.mark.parametrize("both", [False, True], ids=["one", "both"])
+    def test_report_over_the_input_is_refused(self, csv_path, tmp_path, capsys, both):
+        # with --both, --out d.csv names the reports d.mpk.csv and d.impk.csv
+        source = tmp_path / ("d.mpk.csv" if both else "d.csv")
+        source.write_bytes(csv_path.read_bytes())
+        before = source.read_bytes()
+        assert run(["cv", source, "--out", tmp_path / "d.csv"] + ["--both"] * both) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad-input: cv output paths coincide")
+        assert captured.out == ""
+        assert source.read_bytes() == before
+
+    def test_skipped_folds_go_to_stderr(self, holey_table, tmp_path, capsys):
+        cells = holey_table.cells.copy()
+        cells[0, 1:] = np.nan  # deleting cell (0, 0) empties row 0
+        grid = GridTable(holey_table.lattice, cells)
+        scatter = grid.to_scatter()
+        csv = tmp_path / "thin.csv"
+        csv.write_text("x,y,z\n" + "".join(
+            f"{float(x)!r},{float(y)!r},{float(z)!r}\n"
+            for (x, y), z in zip(scatter.coords, scatter.values)))
+        assert run(["cv", csv]) == 0
+        captured = capsys.readouterr()
+        assert "skipped folds (mpk): 1" in captured.err.splitlines()
+        report = cross_validate(grid, ("mpk",))[0]
+        assert captured.out.splitlines() == render_cv_csv(report)
 
     def test_rerun_is_byte_identical(self, csv_path, tmp_path, capsys):
         a = tmp_path / "a.csv"

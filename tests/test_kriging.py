@@ -382,7 +382,8 @@ class TestOrdinaryKriging:
 
     def test_zero_sill_needs_zero_values(self, rng):
         scatter = random_scatter(rng, 6)
-        model = VariogramModel("spherical", 0.0, 0.0, 5.0, degenerate=True)
+        model = VariogramModel("spherical", 0.0, 0.0, 5.0)
+        assert model.degenerate
         with pytest.raises(SingularSystemError):
             ok_predict(scatter, model, Location2D(1.0, 1.0))
         flat = ScatterSet(scatter.coords, np.zeros(6))

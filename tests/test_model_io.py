@@ -88,6 +88,26 @@ class TestRoundTrip:
         v, w = loaded.variogram, fitted.variogram
         assert (v.nugget, v.partial_sill, v.range) == (w.nugget, w.partial_sill, w.range)
 
+    def test_polish_keys_are_pinned(self, fitted, tmp_path):
+        # [polish] holds MedianPolishFit's fields by name; a new field must
+        # not change the file format unnoticed
+        path = tmp_path / "surface.model"
+        save_model(fitted, path)
+        lines = path.read_text().splitlines()
+        polish = lines[lines.index("[polish]") + 1:lines.index("[variogram]")]
+        assert [ln.split()[0] for ln in polish] == [
+            "overall", "row_effects", "col_effects", "sweeps", "converged"]
+
+    @pytest.mark.parametrize("text,expect", [("1", True), ("yes", True), ("OFF", False)])
+    def test_boolean_spellings_are_read(self, holey_table, tmp_path, text, expect):
+        path = tmp_path / "surface.model"
+        save_model(fit(holey_table, "mpk"), path)
+        lines = path.read_text().splitlines()
+        target = next(i for i, ln in enumerate(lines) if ln.startswith("converged"))
+        lines[target] = f"converged {text}"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_model(path).polish.converged is expect
+
     def test_degenerate_flag_is_a_zero_sill(self, tmp_path):
         lat = GridLattice(np.arange(5.0), np.arange(4.0))
         model = fit(GridTable(lat, np.full((4, 5), 3.25)), "mpk")
@@ -182,8 +202,13 @@ class TestFormatErrors:
         ("mpk", "row_effects", lambda ln: ln.rsplit(" ", 1)[0]),
         ("impk", "strengths", lambda ln: ln.rsplit(" ", 1)[0]),
         ("impk", "strengths", lambda ln: ln + " 1.0"),
+        ("mpk", "converged", lambda ln: "converged 2"),
+        ("mpk", "freeze_variogram", lambda ln: "freeze_variogram maybe"),
+        ("mpk", "n_bins", lambda ln: "n_bins none"),
+        ("mpk", "sweeps", lambda ln: "sweeps none"),
     ], ids=["version-1", "family", "n_bins", "nugget", "decreasing-x", "inf-cell",
-            "short-effects", "short-strengths", "long-strengths"])
+            "short-effects", "short-strengths", "long-strengths", "converged-2",
+            "bool-word", "none-for-int-knob", "none-for-sweeps"])
     def test_invalid_value_is_a_format_error(self, holey_table, tmp_path, method, prefix, edit):
         path = tmp_path / "bad.model"
         save_model(fit(holey_table, method), path)
@@ -192,6 +217,16 @@ class TestFormatErrors:
         lines[target] = edit(lines[target])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match="bad.model"):
+            load_model(path)
+
+    @pytest.mark.parametrize("method,section", [("mpk", "config"), ("impk", "spline")])
+    def test_missing_section_is_named(self, holey_table, tmp_path, method, section):
+        path = tmp_path / "bad.model"
+        save_model(fit(holey_table, method), path)
+        lines = path.read_text().splitlines()
+        lines.remove(f"[{section}]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf"missing section \[{section}\]"):
             load_model(path)
 
     def test_version_2_is_refused(self, holey_table, tmp_path):

@@ -27,6 +27,7 @@ from polishkrige import (
     predict_many,
     rmse,
 )
+from polishkrige.mean_surface import BiharmonicModel
 from polishkrige.predictor import SurfaceModel
 
 
@@ -106,6 +107,30 @@ class TestFitBasics:
         impk = fit(holey_table, "impk")
         pts = np.array([[0.5, 0.5], [2.3, 1.7], [4.4, 3.2]])
         assert not np.allclose(impk.mean_at(pts), mpk.mean_at(pts), atol=1e-8)
+
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    def test_predict_takes_an_xy_pair(self, holey_table, method):
+        model = fit(holey_table, method)
+        at = predict(model, Location2D(2.3, 1.7))
+        assert predict(model, np.array([2.3, 1.7])) == at
+        assert predict(model, (2.3, 1.7)) == at
+        for not_one in (np.array([2.3, 1.7, 0.0]), np.array([[2.3, 1.7], [0.5, 0.5]])):
+            with pytest.raises(DataError):
+                predict(model, not_one)
+
+    def test_impk_spline_is_built_once(self, holey_table, monkeypatch):
+        built = []
+        post_init = BiharmonicModel.__post_init__
+        monkeypatch.setattr(BiharmonicModel, "__post_init__",
+                            lambda self: built.append(post_init(self)))
+        model = fit(holey_table, "impk")
+        assert len(built) == 1
+        polish = decompose(holey_table)
+        again = SurfaceModel(holey_table, model.config, polish, model.variogram,
+                             model.mean_component.strengths)
+        np.testing.assert_array_equal(again.mean_component.strengths,
+                                      model.mean_component.strengths)
+        assert again.mean_component.regularization == model.mean_component.regularization
 
     def test_supplied_variogram_is_used_verbatim(self, small_table):
         frozen = VariogramModel("exponential", 0.05, 0.4, 2.5)
