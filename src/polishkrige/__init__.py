@@ -27,12 +27,10 @@ from .kriging import (
 from .mean_surface import (
     BiharmonicModel,
     LinearMeanModel,
-    biharmonic_eval,
     biharmonic_fit,
     green_function,
-    linear_mean_at,
 )
-from .median_polish import MedianPolishFit, decompose, node_mean, residuals_as_scatter
+from .median_polish import MedianPolishFit, decompose, residuals_as_scatter
 from .model_io import load_model, save_model
 from .predictor import (
     CvRecord,
@@ -50,14 +48,10 @@ from .predictor import (
     rmse,
 )
 from .spatial_core import (
-    CellRef,
-    CsvOptions,
     GridLattice,
     GridTable,
     Location2D,
-    Observation,
     ScatterSet,
-    cell_containing,
     load_observations_csv,
     to_grid,
 )

@@ -427,6 +427,8 @@ class KrigingSystem:
         """Predicted values and variances at an (m, 2) target array of finite
         coordinates (DataError otherwise)."""
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        if targets.ndim != 2 or targets.shape[1] != 2:
+            raise DataError(f"targets must be (m, 2), got {targets.shape}")
         if not np.isfinite(targets).all():
             raise DataError("non-finite target coordinate")
         if self.model.sill == 0:

@@ -71,12 +71,11 @@ def _green_over(m, r):
 class BiharmonicModel:
     """A Green-function spline w(s) = sum_j strengths[j] phi_m(|s - c_j|).
 
-    centers is (N, d) with pairwise-distinct rows; dimension selects the
-    Green function (normally d itself); regularization records the ridge
-    term used at fit time.
+    centers is (N, d) with pairwise-distinct rows, and the Green function is
+    that of their dimension d (1..6); regularization records the ridge term
+    used at fit time.
     """
 
-    dimension: int
     centers: np.ndarray
     strengths: np.ndarray
     regularization: float = 0.0
@@ -88,8 +87,8 @@ class BiharmonicModel:
         strengths = np.asarray(self.strengths, dtype=np.float64).ravel()
         if len(strengths) != centers.shape[0]:
             raise DataError("one strength per center required")
-        if self.dimension not in (1, 2, 3, 4, 5, 6):
-            raise DataError(f"dimension must be 1..6, got {self.dimension}")
+        if centers.shape[1] not in (1, 2, 3, 4, 5, 6):
+            raise DataError(f"dimension must be 1..6, got {centers.shape[1]}")
         if not np.all(np.isfinite(centers)):
             raise DataError("non-finite center")
         if not np.all(np.isfinite(strengths)):
@@ -100,6 +99,10 @@ class BiharmonicModel:
         object.__setattr__(self, "centers", _frozen(centers))
         object.__setattr__(self, "strengths", _frozen(strengths))
 
+    @property
+    def dimension(self):
+        return self.centers.shape[1]
+
 
 def _reject_duplicate_rows(centers):
     pair = _closest_pair_within(centers, 0.0)
@@ -107,23 +110,7 @@ def _reject_duplicate_rows(centers):
         raise DuplicateLocationError(f"centers {pair[0]} and {pair[1]} coincide")
 
 
-def _as_points(s, d):
-    """Coerce a query (Location2D, scalar, or array) to an (M, d) array."""
-    if hasattr(s, "x") and hasattr(s, "y"):
-        pts = np.array([[s.x, s.y]], dtype=np.float64)
-    else:
-        pts = np.asarray(s, dtype=np.float64)
-        if pts.ndim == 0:
-            pts = pts.reshape(1, 1)
-        elif pts.ndim == 1:
-            # one point of dimension d, or a column of 1-D points
-            pts = pts.reshape(1, -1) if len(pts) == d else pts.reshape(-1, 1)
-    if pts.shape[1] != d:
-        raise DataError(f"query dimension {pts.shape[1]} does not match centers ({d})")
-    return pts
-
-
-def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
+def biharmonic_fit(centers, values, regularization=0.0):
     """Fit spline strengths through values at centers.
 
     Solves (G + eps I) alpha = values with G_ij = phi_m(|c_i - c_j|).  With
@@ -136,7 +123,6 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
         centers: (N,) for 1-D or (N, d) array, pairwise distinct.
         values: N reals.
         regularization: finite ridge term eps >= 0 added to the diagonal.
-        dimension: Green-function index; defaults to the spatial dimension d.
 
     Raises:
         DuplicateLocationError, SingularSystemError, DataError.
@@ -149,27 +135,26 @@ def biharmonic_fit(centers, values, regularization=0.0, dimension=None):
         raise DataError("centers and values disagree in length")
     if not np.all(np.isfinite(values)):
         raise DataError("non-finite value")
-    if dimension is None:
-        dimension = centers.shape[1]
 
     _reject_duplicate_rows(centers)
 
     if np.all(values == 0):
         strengths = np.zeros(len(values))
-        return BiharmonicModel(dimension, centers, strengths, float(regularization))
+        return BiharmonicModel(centers, strengths, float(regularization))
 
-    lu_piv = _green_system(centers, regularization, dimension)[0]
+    lu_piv = _green_system(centers, regularization)[0]
     strengths = lu_solve(lu_piv, values, check_finite=False)
-    return BiharmonicModel(dimension, centers, strengths, float(regularization))
+    return BiharmonicModel(centers, strengths, float(regularization))
 
 
-def _green_system(centers, regularization, dimension=2):
-    """numerics.factor_checked of G + eps I, G_ij = phi_m(|c_i - c_j|):
-    (lu_piv, rcond, 1-norm).  G is built, regularized and LU-factored over
-    one n x n array.  DataError unless eps is finite and >= 0."""
+def _green_system(centers, regularization):
+    """numerics.factor_checked of G + eps I, G_ij = phi_m(|c_i - c_j|) with m
+    the centres' dimension: (lu_piv, rcond, 1-norm).  G is built,
+    regularized and LU-factored over one n x n array.  DataError unless eps
+    is finite and >= 0."""
     if not 0 <= regularization < np.inf:
         raise DataError("regularization must be finite and nonnegative")
-    g = _green_over(dimension, cdist(centers, centers))
+    g = _green_over(centers.shape[1], cdist(centers, centers))
     if regularization:
         g.flat[::len(g) + 1] += regularization
     return factor_checked(g, "green-function system")
@@ -199,14 +184,12 @@ def biharmonic_deletions(centers, regularization=0.0):
     return deletion
 
 
-def biharmonic_eval(model, s):
-    """Spline value at one location (Location2D, scalar for 1-D, or array)."""
-    return float(biharmonic_eval_many(model, _as_points(s, model.centers.shape[1]))[0])
-
-
 def biharmonic_eval_many(model, points):
-    """Spline values at an (M, d) array of locations."""
+    """Spline values at an (M, d) array of locations, d the centres'
+    dimension (DataError otherwise)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.ndim != 2 or points.shape[1] != model.dimension:
+        raise DataError(f"expected (M, {model.dimension}) points, got {points.shape}")
     return _green_over(model.dimension, cdist(points, model.centers)) @ model.strengths
 
 
@@ -237,11 +220,6 @@ def _interp_effect(coords, effects, t):
     x1 = coords[idx + 1]
     w = (t - x0) / (x1 - x0)
     return effects[idx] + w * (effects[idx + 1] - effects[idx])
-
-
-def linear_mean_at(model, s):
-    """Mean-surface value at one Location2D."""
-    return float(linear_mean_many(model, np.array([[s.x, s.y]]))[0])
 
 
 def linear_mean_many(model, points):

@@ -148,17 +148,6 @@ def polish_from_effects(cells, overall, row_effects, col_effects, sweeps, conver
     return MedianPolishFit(overall, row_effects, col_effects, residuals, sweeps, converged)
 
 
-def node_mean(fit, k, l):
-    """Fitted mean overall + row_effects[k] + col_effects[l] at node (k, l).
-
-    Raises IndexError for indices outside 0..p-1 / 0..q-1 (no negative
-    wrap-around).
-    """
-    if not (0 <= k < fit.p and 0 <= l < fit.q):
-        raise IndexError(f"node ({k}, {l}) outside {fit.p} x {fit.q} lattice")
-    return fit.overall + float(fit.row_effects[k]) + float(fit.col_effects[l])
-
-
 def residuals_as_scatter(fit, lattice):
     """Present-cell residuals as a ScatterSet at their lattice nodes.
 

@@ -62,14 +62,14 @@ def fields_of(cls, skip=()):
 def read_field(field, text):
     """The value of a field's text; ValueError if the text is not one."""
     kind, optional = field
-    return None if optional and text == "none" else CODEC[kind][1](text)
+    return None if optional and text.lower() == "none" else CODEC[kind][1](text)
 
 
 # section -> the fields of its dataclass that it holds
 SECTIONS = {
     "polish": fields_of(MedianPolishFit, {"residuals"}),
     "variogram": fields_of(VariogramModel, {"family"}),
-    "spline": fields_of(BiharmonicModel, {"dimension", "centers", "regularization"}),
+    "spline": fields_of(BiharmonicModel, {"centers", "regularization"}),
     "config": fields_of(FitConfig, {"method"}),
 }
 
@@ -140,6 +140,10 @@ def _grid_cells(section_lines, p, q):
             raise ModelFormatError(f"line {line_no}: bad record in [grid]") from None
         if not (0 <= k < p and 0 <= l < q):
             raise ModelFormatError(f"line {line_no}: cell ({k}, {l}) outside {p} x {q}")
+        if not np.isnan(cells[k, l]):
+            raise ModelFormatError(f"line {line_no}: repeated cell ({k}, {l})")
+        if not np.isfinite(v):
+            raise ModelFormatError(f"line {line_no}: non-finite value at cell ({k}, {l})")
         cells[k, l] = v
     return cells
 
@@ -149,7 +153,8 @@ def load_model(path):
 
     Raises ModelFormatError for a missing file, wrong signature (including
     the version 1 and 2 formats, which must be refitted), or any malformed or
-    invalid section; messages carry the offending line number or the path.
+    invalid section, including a repeated or non-finite [grid] cell; messages
+    carry the offending line number or the path, and both for a bad record.
     """
     try:
         with open(path, "r") as fh:
@@ -179,5 +184,5 @@ def load_model(path):
         variogram = VariogramModel(config.family, **_read_section(sections, "variogram"))
         spline = _read_section(sections, "spline") if method == "impk" else {}
         return SurfaceModel(grid, config, polish, variogram, **spline)
-    except (KeyError, ValueError, DataError, GridStructureError) as exc:
+    except (KeyError, ValueError, DataError, GridStructureError, ModelFormatError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc

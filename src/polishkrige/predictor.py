@@ -27,7 +27,6 @@ from .kriging import (
 from .mean_surface import (
     BiharmonicModel,
     LinearMeanModel,
-    _as_points,
     biharmonic_deletions,
     biharmonic_eval_many,
     biharmonic_fit,
@@ -105,7 +104,7 @@ class SurfaceModel:
             centers, effects = _spline_frame(source_grid)
             self.mean_component = (
                 biharmonic_fit(centers, effects(polish), config.epsilon) if strengths is None
-                else BiharmonicModel(2, centers, strengths, config.epsilon))
+                else BiharmonicModel(centers, strengths, config.epsilon))
         self._system = _residual_system(polish, source_grid.lattice, config, variogram)
         self.residual_scatter, self.variogram = self._system.scatter, self._system.model
 
@@ -173,11 +172,13 @@ def predict_many(model, points):
 
 
 def predict(model, s):
-    """Prediction (value and residual-kriging variance) at a Location2D or (x, y) pair."""
-    points = _as_points(s, 2)
-    if len(points) != 1:
-        raise DataError(f"predict takes one location, got {len(points)}; see predict_many")
-    values, variances = predict_many(model, points)
+    """Prediction (value and residual-kriging variance) at a Location2D or
+    an (x, y) pair of shape (2,) or (1, 2) (DataError otherwise)."""
+    point = np.array([s.x, s.y]) if isinstance(s, Location2D) else np.asarray(s, np.float64)
+    if point.shape not in ((2,), (1, 2)):
+        raise DataError(f"predict takes one (x, y) location, got shape {point.shape}; "
+                        "see predict_many")
+    values, variances = predict_many(model, point.reshape(1, 2))
     return KrigingPrediction(value=float(values[0]), variance=float(variances[0]))
 
 

@@ -1,9 +1,9 @@
 """Data model for scattered 2-D observations and grid lattices.
 
-Provides CSV ingestion, grid-structure inference from scattered coordinates
-(snapping to a lattice), and point-in-cell lookup.  All containers are
-immutable after construction (backing arrays are frozen) and safe to share
-across threads for reading.
+Provides CSV ingestion and grid-structure inference from scattered
+coordinates (snapping to a lattice).  All containers are immutable after
+construction (backing arrays are frozen) and safe to share across threads
+for reading.
 """
 
 from __future__ import annotations
@@ -36,28 +36,16 @@ class Location2D:
             raise DataError(f"non-finite location ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """A finite response value attached to a location."""
-
-    location: Location2D
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DataError(f"non-finite value at {self.location}")
-
-
 class ScatterSet:
     """An ordered set of observations with pairwise-distinct locations.
 
     Internally array-backed: ``coords`` is (n, 2) and ``values`` is (n,).
-    Distinctness is enforced within ``distance_tol`` (default: 1e-9 times the
-    larger coordinate span, so text round-trip noise never splits a point but
-    real neighbours never merge).
+    Distinctness is enforced within the snap tolerance (_snap_tolerance), so
+    text round-trip noise never splits a point but real neighbours never
+    merge.
     """
 
-    def __init__(self, coords, values, distance_tol=None):
+    def __init__(self, coords, values):
         coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
         values = np.asarray(values, dtype=np.float64).ravel()
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -71,42 +59,23 @@ class ScatterSet:
         if not np.all(np.isfinite(values)):
             raise DataError("non-finite value in scatter set")
 
-        if distance_tol is None:
-            distance_tol = 1e-9 * _coordinate_span(coords)
-        pair = _closest_pair_within(coords, distance_tol)
+        tol = _snap_tolerance(coords)
+        pair = _closest_pair_within(coords, tol)
         if pair is not None:
             i, j = pair
             err = DuplicateLocationError(
                 f"observations {i} and {j} share location "
-                f"({coords[i, 0]:g}, {coords[i, 1]:g}) within tolerance {distance_tol:g}"
+                f"({coords[i, 0]:g}, {coords[i, 1]:g}) within tolerance {tol:g}"
             )
             err.pair = (i, j)
             raise err
 
         self.coords = _frozen(coords)
         self.values = _frozen(values)
-        self.distance_tol = float(distance_tol)
 
     @property
     def n(self):
         return self.coords.shape[0]
-
-    @property
-    def observations(self):
-        """The observations as objects, in insertion order."""
-        return [
-            Observation(Location2D(x, y), v)
-            for (x, y), v in zip(self.coords, self.values)
-        ]
-
-    @classmethod
-    def from_observations(cls, obs, distance_tol=None):
-        coords = [(o.location.x, o.location.y) for o in obs]
-        values = [o.value for o in obs]
-        return cls(coords, values, distance_tol=distance_tol)
-
-    def __len__(self):
-        return self.n
 
     def __eq__(self, other):
         if not isinstance(other, ScatterSet):
@@ -116,9 +85,10 @@ class ScatterSet:
         )
 
 
-def _coordinate_span(coords):
-    spans = coords.max(axis=0) - coords.min(axis=0)
-    return float(spans.max())
+def _snap_tolerance(coords):
+    """1e-9 times the larger coordinate span of an (n, 2) array: closer
+    locations are one location, and closer coordinates one lattice node."""
+    return 1e-9 * float((coords.max(axis=0) - coords.min(axis=0)).max())
 
 
 def _closest_pair_within(coords, tol):
@@ -226,26 +196,12 @@ class GridTable:
         return GridTable(self.lattice, cells)
 
 
-@dataclass(frozen=True)
-class CsvOptions:
-    """Column mapping and delimiter for observation CSV files."""
+def load_observations_csv(path):
+    """Read one observation per data row from a comma-separated file.
 
-    x_col: str = "x"
-    y_col: str = "y"
-    z_col: str = "z"
-    delimiter: str = ","
-
-
-def load_observations_csv(path, options=None):
-    """Read one observation per data row from a delimited text file.
-
-    The first non-blank line is a header naming the columns; blank lines are
-    ignored.  Row order is preserved.
-
-    Args:
-        path: file to read.
-        options: CsvOptions with column names and delimiter (defaults to
-            columns ``x,y,z`` and a comma).
+    The first non-blank line is a header; the columns named ``x``, ``y`` and
+    ``z`` are found by name, in any order, and other columns are ignored.
+    Blank lines are ignored.  Row order is preserved.
 
     Returns:
         ScatterSet with one observation per data row.
@@ -256,7 +212,6 @@ def load_observations_csv(path, options=None):
         DuplicateLocationError: two rows share a location within tolerance
             (the message names both file lines).
     """
-    options = options or CsvOptions()
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
@@ -266,7 +221,7 @@ def load_observations_csv(path, options=None):
     values = []
     line_numbers = []
     with fh:
-        reader = csv.reader(fh, delimiter=options.delimiter)
+        reader = csv.reader(fh)
         header = None
         for line_no, row in enumerate(reader, start=1):
             if not row or all(not field.strip() for field in row):
@@ -274,13 +229,10 @@ def load_observations_csv(path, options=None):
             if header is None:
                 header = [h.strip() for h in row]
                 try:
-                    ix = header.index(options.x_col)
-                    iy = header.index(options.y_col)
-                    iz = header.index(options.z_col)
+                    ix, iy, iz = map(header.index, "xyz")
                 except ValueError:
                     raise DataError(
-                        f"{path}: header {header} lacks required columns "
-                        f"({options.x_col}, {options.y_col}, {options.z_col})"
+                        f"{path}: header {header} lacks required columns (x, y, z)"
                     ) from None
                 continue
             try:
@@ -322,23 +274,21 @@ def _snap_axis(values, tol):
     return nodes, idx
 
 
-def to_grid(scatter, snap_tolerance=None):
+def to_grid(scatter):
     """Recover the lattice underlying a scattered sample and fill a GridTable.
 
-    Distinct x (and y) coordinates are clustered within ``snap_tolerance``
-    (default: 1e-9 times the coordinate span) and each cluster becomes a
-    lattice node at the cluster mean (exactly the shared value when its
-    coordinates agree); unvisited cells are missing.
+    Distinct x (and y) coordinates are clustered within the snap tolerance
+    (_snap_tolerance) and each cluster becomes a lattice node at the cluster
+    mean (exactly the shared value when its coordinates agree); unvisited
+    cells are missing.
 
     Raises:
         DuplicateLocationError: two observations snap to the same cell.
         GridStructureError: fewer than 2 distinct coordinates on an axis.
     """
-    if snap_tolerance is None:
-        snap_tolerance = 1e-9 * _coordinate_span(scatter.coords)
-
-    x_nodes, col_idx = _snap_axis(scatter.coords[:, 0], snap_tolerance)
-    y_nodes, row_idx = _snap_axis(scatter.coords[:, 1], snap_tolerance)
+    tol = _snap_tolerance(scatter.coords)
+    x_nodes, col_idx = _snap_axis(scatter.coords[:, 0], tol)
+    y_nodes, row_idx = _snap_axis(scatter.coords[:, 1], tol)
     if len(x_nodes) < 2 or len(y_nodes) < 2:
         raise GridStructureError(
             f"grid needs at least 2 distinct coordinates per axis, got "
@@ -359,43 +309,17 @@ def to_grid(scatter, snap_tolerance=None):
     return GridTable(lattice, cells)
 
 
-@dataclass(frozen=True)
-class CellRef:
-    """A lattice cell reference plus inside/outside classification.
-
-    ``col``/``row`` are 0-based indices of the cell's lower-left node, always
-    within 0..q-2 and 0..p-2; for outside points they reference the boundary
-    cell whose node pair extends linearly (column pair (0, 1) for x below the
-    grid, (q-2, q-1) above, likewise in y).  ``x_side``/``y_side`` are -1, 0
-    or +1 for below / inside / above the lattice extent on that axis.
-    """
-
-    col: int
-    row: int
-    x_side: int
-    y_side: int
-
-    @property
-    def inside(self):
-        return self.x_side == 0 and self.y_side == 0
-
-
 def axis_cells(coords, t):
-    """CellRef's cell index and side along one lattice axis, vectorised over
-    positions t; ties at a node go to the lower cell."""
+    """The lattice cell along one axis that holds, or extrapolates to, each
+    position in t, and the side of the axis's extent it lies on.
+
+    Returns (idx, side), vectorised over t.  idx is the 0-based index of the
+    cell's lower node, always within 0..len(coords)-2: inside the extent the
+    cell with coords[idx] <= t <= coords[idx + 1], ties at a node going to
+    the lower cell; outside it the boundary pair whose line extends there
+    ((0, 1) below, the last two nodes above).  side is -1, 0 or +1 for below
+    / inside / above the extent.
+    """
     idx = np.clip(np.searchsorted(coords, t, side="left") - 1, 0, len(coords) - 2)
     side = (t > coords[-1]).astype(int) - (t < coords[0]).astype(int)
     return idx, side
-
-
-def cell_containing(lattice, s):
-    """Locate the lattice cell holding (or designated for extrapolating) s.
-
-    Inside the hull returns the cell with x_l <= s.x <= x_{l+1} and
-    y_k <= s.y <= y_{k+1}, ties to the lower cell.  Outside, the returned
-    cell is the adjacent boundary pair and the side flags say which edges
-    were crossed.  Total over finite locations.
-    """
-    l, x_side = axis_cells(lattice.x_coords, s.x)
-    k, y_side = axis_cells(lattice.y_coords, s.y)
-    return CellRef(col=int(l), row=int(k), x_side=int(x_side), y_side=int(y_side))

@@ -193,13 +193,14 @@ class TestFitCommand:
 
     def test_config_file_none_unsets_an_optional_knob(self, csv_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("max-lag=none\nmp-tol=none\nneighborhood=none\n")
+        # none is read in any case, as the booleans are
+        cfg.write_text("max-lag=none\nmp-tol=None\nneighborhood=NONE\n")
         out = tmp_path / "m"
         assert run(["fit", csv_path, "--config", cfg, "--out", out]) == 0
         assert load_model(out).config == FitConfig()
 
     @pytest.mark.parametrize("line", ["bins=none", "freeze-variogram=none", "epsilon=none",
-                                      "freeze-variogram=2"])
+                                      "freeze-variogram=2", "bins=NONE"])
     def test_none_or_bad_boolean_for_a_required_knob_is_bad_input(self, csv_path, tmp_path,
                                                                    capsys, line):
         cfg = tmp_path / "run.cfg"

@@ -547,6 +547,16 @@ class TestNearestSelection:
         with pytest.raises(DataError):
             system.predict_many([[1.0, 2.0], [bad, 3.0]])
 
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("targets", [[[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0], [[[1.0, 2.0]]]],
+                             ids=["1x3", "3", "1x1x2"])
+    def test_wrong_shaped_targets_are_a_data_error(self, rng, k, targets):
+        scatter, _ = self.lattice(rng)
+        system = KrigingSystem(scatter, VariogramModel("exponential", 0.1, 1.0, 5.0),
+                               neighborhood=k)
+        with pytest.raises(DataError, match="targets must be"):
+            system.predict_many(np.array(targets))
+
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_ok_solve_weights_on_the_reference_neighbourhood(self, rng, k):
         scatter, targets = self.lattice(rng)

@@ -12,13 +12,10 @@ from polishkrige import (
     DuplicateLocationError,
     GreenSingularityError,
     LinearMeanModel,
-    Location2D,
     SingularSystemError,
-    biharmonic_eval,
     biharmonic_fit,
     decompose,
     green_function,
-    linear_mean_at,
 )
 from polishkrige.mean_surface import biharmonic_deletions, biharmonic_eval_many, linear_mean_many
 
@@ -98,7 +95,7 @@ class TestBiharmonicFit:
         # synthesize a spline, sample it at the centers, refit
         coords = rng.uniform(0, 10, size=(25, 2))
         strengths = rng.normal(size=25)
-        synth = biharmonic_eval_many(BiharmonicModel(2, coords, strengths), coords)
+        synth = biharmonic_eval_many(BiharmonicModel(coords, strengths), coords)
         refit = biharmonic_fit(coords, synth)
         np.testing.assert_allclose(refit.strengths, strengths, rtol=1e-7, atol=1e-9)
 
@@ -113,7 +110,7 @@ class TestBiharmonicFit:
 
     def test_single_zero_center_gives_zero_spline(self):
         model = biharmonic_fit(np.array([[1.0, 2.0]]), [0.0])
-        assert biharmonic_eval(model, Location2D(5.0, 5.0)) == 0.0
+        assert biharmonic_eval_many(model, np.array([[5.0, 5.0]]))[0] == 0.0
 
     def test_single_nonzero_center_is_singular(self):
         with pytest.raises(SingularSystemError):
@@ -139,29 +136,31 @@ class TestBiharmonicFit:
         lambda c, eps: biharmonic_fit(c, [1.0, 2.0, 4.0], eps),
         lambda c, eps: biharmonic_fit(c, [0.0, 0.0, 0.0], eps),
         lambda c, eps: biharmonic_deletions(c, eps),
-        lambda c, eps: BiharmonicModel(2, c, [1.0, -2.0, 1.0], eps),
+        lambda c, eps: BiharmonicModel(c, [1.0, -2.0, 1.0], eps),
     ], ids=["fit", "fit-zero-values", "deletions", "model"])
     def test_non_finite_regularization_rejected(self, build, regularization):
         with pytest.raises(DataError):
             build(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), regularization)
 
     def test_dimension_override(self, rng):
-        coords = rng.uniform(0, 10, size=(10, 2))
+        # the Green function follows the centres' dimension: phi_3 = r in 3-D
+        coords = rng.uniform(0, 10, size=(10, 3))
         values = rng.normal(size=10)
-        model = biharmonic_fit(coords, values, dimension=3)
+        model = biharmonic_fit(coords, values)
         assert model.dimension == 3
+        np.testing.assert_allclose(cdist(coords, coords) @ model.strengths, values, atol=1e-9)
         got = biharmonic_eval_many(model, coords)
         np.testing.assert_allclose(got, values, atol=1e-9)
 
     def test_scalar_queries_in_1d(self):
         model = biharmonic_fit([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])
-        v = biharmonic_eval(model, 1.0)
+        v = biharmonic_eval_many(model, np.array([[1.0]]))[0]
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_query_dimension_mismatch_rejected(self):
         model = biharmonic_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), [1.0, 2.0])
         with pytest.raises(DataError):
-            biharmonic_eval(model, np.array([1.0, 2.0, 3.0]))
+            biharmonic_eval_many(model, np.array([[1.0, 2.0, 3.0]]))
 
     @pytest.mark.parametrize("regularization", [0.0, 0.25])
     def test_strengths_equal_a_factorization_of_a_copy(self, rng, regularization):
@@ -198,19 +197,18 @@ class TestLinearMean:
         for k in range(fit.p):
             for l in range(fit.q):
                 s = small_table.lattice.node(k, l)
-                assert linear_mean_at(model, s) == pytest.approx(means[k, l], abs=1e-12)
+                got = linear_mean_many(model, np.array([[s.x, s.y]]))[0]
+                assert got == pytest.approx(means[k, l], abs=1e-12)
 
     def test_separable_midpoint_average(self, small_table):
         fit = decompose(small_table)
         model = LinearMeanModel(fit, small_table.lattice)
         means = fit.node_mean_grid()
         # midpoint of a cell edge averages the two adjacent nodes
-        mid_x = Location2D(1.5, 1.0)
-        assert linear_mean_at(model, mid_x) == pytest.approx((means[0, 0] + means[0, 1]) / 2, abs=1e-12)
+        mid_x, centre = linear_mean_many(model, np.array([[1.5, 1.0], [2.5, 2.5]]))
+        assert mid_x == pytest.approx((means[0, 0] + means[0, 1]) / 2, abs=1e-12)
         # a cell centre averages all four corners under a separable surface
-        centre = Location2D(2.5, 2.5)
-        want = means[1:3, 1:3].mean()
-        assert linear_mean_at(model, centre) == pytest.approx(want, abs=1e-12)
+        assert centre == pytest.approx(means[1:3, 1:3].mean(), abs=1e-12)
 
     def test_extrapolation_continues_boundary_line(self, small_table):
         fit = decompose(small_table)

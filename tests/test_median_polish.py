@@ -6,7 +6,6 @@ from polishkrige import (
     GridLattice,
     GridTable,
     decompose,
-    node_mean,
     residuals_as_scatter,
 )
 from polishkrige.median_polish import polish_stack
@@ -190,21 +189,14 @@ class TestAccessors:
     def test_node_mean_matches_components(self, small_table):
         fit = decompose(small_table)
         want = fit.overall + fit.row_effects[2] + fit.col_effects[4]
-        assert node_mean(fit, 2, 4) == pytest.approx(want, abs=1e-15)
         grid = fit.node_mean_grid()
         assert grid.shape == (4, 5)
         assert grid[2, 4] == pytest.approx(want, abs=1e-15)
 
     def test_node_mean_defined_at_missing_cells(self, holey_table):
         fit = decompose(holey_table)
-        v = node_mean(fit, 0, 3)  # cell (0, 3) is missing from the table
+        v = fit.node_mean_grid()[0, 3]  # cell (0, 3) is missing from the table
         assert np.isfinite(v)
-
-    @pytest.mark.parametrize("k,l", [(-1, 0), (0, -1), (4, 0), (0, 5)])
-    def test_node_mean_bounds(self, small_table, k, l):
-        fit = decompose(small_table)
-        with pytest.raises(IndexError):
-            node_mean(fit, k, l)
 
     def test_residuals_as_scatter_skips_missing(self, holey_table):
         fit = decompose(holey_table)

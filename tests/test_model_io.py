@@ -175,6 +175,24 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match=f"line {target + 1}"):
             load_model(path)
 
+    @pytest.mark.parametrize("why", ["repeated cell", "non-finite value"],
+                             ids=["repeated-cell", "nan-cell"])
+    def test_bad_grid_record_names_the_line(self, holey_table, tmp_path, why):
+        # either would load silently as another grid: the second record
+        # winning, or a present cell made missing
+        lines = self.good_lines(holey_table, tmp_path)
+        at = lines.index("[grid]") + 1
+        cell = lines[at].rsplit(" ", 1)[0]
+        if why == "repeated cell":
+            at += 1
+            lines.insert(at, f"{cell} 99.0")
+        else:
+            lines[at] = f"{cell} nan"
+        path = tmp_path / "grid.model"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=f"grid.model.*line {at + 1}: {why}"):
+            load_model(path)
+
     def test_corrupt_scalar_rejected(self, holey_table, tmp_path):
         lines = self.good_lines(holey_table, tmp_path)
         target = next(i for i, ln in enumerate(lines) if ln.startswith("overall"))

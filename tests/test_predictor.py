@@ -114,9 +114,18 @@ class TestFitBasics:
         at = predict(model, Location2D(2.3, 1.7))
         assert predict(model, np.array([2.3, 1.7])) == at
         assert predict(model, (2.3, 1.7)) == at
-        for not_one in (np.array([2.3, 1.7, 0.0]), np.array([[2.3, 1.7], [0.5, 0.5]])):
+        for not_one in (np.array([2.3, 1.7, 0.0]), np.array([[2.3, 1.7], [0.5, 0.5]]),
+                        np.array([[2.3], [1.7]]), np.array([[[2.3, 1.7]]]), 2.3):
             with pytest.raises(DataError):
                 predict(model, not_one)
+
+    @pytest.mark.parametrize("neighborhood", [None, 3])
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    def test_predict_many_refuses_wrong_shaped_targets(self, holey_table, method, neighborhood):
+        model = fit(holey_table, method, FitConfig(neighborhood=neighborhood))
+        for targets in (np.array([[2.3, 1.7, 0.0]]), np.array([2.3, 1.7, 0.0])):
+            with pytest.raises(DataError, match="targets must be"):
+                predict_many(model, targets)
 
     def test_impk_spline_is_built_once(self, holey_table, monkeypatch):
         built = []

@@ -1,10 +1,14 @@
 """The README's Python API example runs: once as written, predicting at a
 `Location2D`, and once in the plain `(x, y)` pair form the README names.
 `PAPER.md` once carried the pair form; it now holds only the paper's title
-and abstract, and no code."""
+and abstract, and no code.  The package's public names are pinned, and each
+name the README's Python API section documents is exported."""
 
 import pathlib
 import re
+import types
+
+import polishkrige
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -42,3 +46,43 @@ def test_paper_example_runs(monkeypatch, capsys):
     assert pair in README.read_text()
     block = "import numpy as np\n" + block.replace(location, pair)
     run_python_block(block, monkeypatch, capsys)
+
+
+# The package's public names: adding or dropping an export is a decision that
+# changes this list.
+PUBLIC = {
+    "BiharmonicModel", "CvRecord", "CvReport", "DataError", "DuplicateLocationError",
+    "EmpiricalVariogram", "FitConfig", "GreenSingularityError", "GridLattice",
+    "GridStructureError", "GridTable", "KrigingPrediction", "KrigingSystem", "KrigingWeights",
+    "LinearMeanModel", "Location2D", "MedianPolishFit", "ModelFormatError", "PolishKrigeError",
+    "PredictionGrid", "ScatterSet", "SingularSystemError", "SkippedFold", "SurfaceModel",
+    "VariogramModel", "biharmonic_fit", "covariance", "cross_validate", "decompose",
+    "empirical_semivariogram", "fit", "fit_variogram", "green_function", "load_model",
+    "load_observations_csv", "loocv", "ok_predict", "ok_solve", "predict", "predict_grid",
+    "predict_many", "residuals_as_scatter", "rmse", "save_model", "semivariance", "to_grid",
+}
+
+# The names the README's Python API section documents.
+README_API = [
+    "FitConfig", "Location2D", "fit", "load_observations_csv", "loocv", "predict", "to_grid",
+    "predict_many", "cross_validate", "decompose", "empirical_semivariogram", "fit_variogram",
+    "ok_predict", "KrigingSystem", "biharmonic_fit", "green_function", "save_model",
+    "load_model", "mean_surface.biharmonic_eval_many", "mean_surface.linear_mean_many",
+]
+
+
+def test_public_names_are_pinned():
+    exported = {name for name, value in vars(polishkrige).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC
+
+
+def test_readme_api_names_resolve():
+    text = README.read_text()
+    section = text[text.index("## Python API"):text.index("## Bundled data")]
+    for name in README_API:
+        assert re.search(rf"\b{re.escape(name)}\b", section), name
+        owner = polishkrige
+        for part in name.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name

@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from polishkrige import (
-    CellRef,
-    CsvOptions,
     DataError,
     DuplicateLocationError,
     GridLattice,
     GridStructureError,
     GridTable,
     Location2D,
-    Observation,
     ScatterSet,
-    cell_containing,
     load_observations_csv,
     to_grid,
 )
+from polishkrige.spatial_core import axis_cells
 
 
 class TestLocationAndObservation:
@@ -32,7 +29,7 @@ class TestLocationAndObservation:
 
     def test_nonfinite_value_rejected(self):
         with pytest.raises(DataError):
-            Observation(Location2D(0.0, 0.0), float("nan"))
+            ScatterSet([(0.0, 0.0)], [float("nan")])
 
     def test_locations_hashable(self):
         assert Location2D(1.0, 2.0) == Location2D(1.0, 2.0)
@@ -43,9 +40,7 @@ class TestScatterSet:
     def test_arrays_and_observations_agree(self):
         s = ScatterSet([(0.0, 0.0), (1.0, 2.0)], [3.0, 4.0])
         assert s.n == 2
-        assert len(s) == 2
-        obs = s.observations
-        assert obs[1] == Observation(Location2D(1.0, 2.0), 4.0)
+        np.testing.assert_array_equal(s.coords, [(0.0, 0.0), (1.0, 2.0)])
         np.testing.assert_array_equal(s.values, [3.0, 4.0])
 
     def test_coords_are_read_only(self):
@@ -67,10 +62,6 @@ class TestScatterSet:
         s = ScatterSet([(0.0, 0.0), (10.0, 0.0), (0.0, 1e-6)], [1.0, 2.0, 3.0])
         assert s.n == 3
 
-    def test_explicit_tolerance_overrides_default(self):
-        with pytest.raises(DuplicateLocationError):
-            ScatterSet([(0.0, 0.0), (0.5, 0.0)], [1.0, 2.0], distance_tol=0.6)
-
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             ScatterSet([(0.0, 0.0)], [1.0, 2.0])
@@ -81,11 +72,6 @@ class TestScatterSet:
         c = ScatterSet([(0.0, 0.0), (1.0, 0.0)], [1.0, 2.5])
         assert a == b
         assert a != c
-
-    def test_from_observations_round_trip(self):
-        obs = [Observation(Location2D(0.0, 1.0), 5.0), Observation(Location2D(2.0, 3.0), 6.0)]
-        s = ScatterSet.from_observations(obs)
-        assert list(s.observations) == obs
 
 
 class TestGridLattice:
@@ -172,11 +158,12 @@ class TestToGrid:
         assert lattice.y_coords.tobytes() == ys.tobytes()
 
     def test_two_points_in_one_cell_rejected(self):
-        # snapping with a broad tolerance would merge distinct observations
-        s = ScatterSet([(0.0, 0.0), (0.2, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 1.0), (1.0, 1.0)],
-                       [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        with pytest.raises(DuplicateLocationError):
-            to_grid(s, snap_tolerance=0.5)
+        # 1.3e-9 apart, so distinct locations under the span-1 tolerance of
+        # 1e-9, yet 9e-10 apart on each axis, so they snap to one node
+        s = ScatterSet([(0.0, 0.0), (9e-10, 9e-10), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+                       [1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(DuplicateLocationError, match="same grid cell"):
+            to_grid(s)
 
     def test_single_row_rejected(self):
         s = ScatterSet([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [1.0, 2.0, 3.0])
@@ -185,32 +172,32 @@ class TestToGrid:
 
 
 class TestCellContaining:
+    """axis_cells on each axis of the lattice: the cell's lower node index
+    and the side of the extent (-1 below, 0 inside, +1 above)."""
+
     lat = GridLattice([0.0, 1.0, 2.0, 4.0], [0.0, 10.0, 20.0])
 
+    def cell(self, x, y):
+        (col, x_side), (row, y_side) = (axis_cells(self.lat.x_coords, x),
+                                        axis_cells(self.lat.y_coords, y))
+        return int(col), int(row), int(x_side), int(y_side)
+
     def test_interior_point(self):
-        ref = cell_containing(self.lat, Location2D(2.5, 12.0))
-        assert (ref.col, ref.row) == (2, 1)
-        assert ref.inside
+        assert self.cell(2.5, 12.0) == (2, 1, 0, 0)
 
     def test_node_belongs_to_lower_cell(self):
-        ref = cell_containing(self.lat, Location2D(1.0, 10.0))
-        assert (ref.col, ref.row) == (0, 0)
+        assert self.cell(1.0, 10.0)[:2] == (0, 0)
 
     def test_upper_boundary_belongs_to_last_cell(self):
-        ref = cell_containing(self.lat, Location2D(4.0, 20.0))
-        assert (ref.col, ref.row) == (2, 1)
-        assert ref.inside
+        assert self.cell(4.0, 20.0) == (2, 1, 0, 0)
 
     def test_outside_is_flagged(self):
-        ref = cell_containing(self.lat, Location2D(-0.5, 5.0))
-        assert not ref.inside
-        assert ref.col == 0
+        col, _, x_side, y_side = self.cell(-0.5, 5.0)
+        assert (x_side, y_side) == (-1, 0)
+        assert col == 0
 
     def test_side_flags_mark_crossed_edges(self):
-        ref = cell_containing(self.lat, Location2D(5.0, -1.0))
-        assert (ref.x_side, ref.y_side) == (1, -1)
-        assert (ref.col, ref.row) == (2, 0)
-        assert ref == CellRef(col=2, row=0, x_side=1, y_side=-1)
+        assert self.cell(5.0, -1.0) == (2, 0, 1, -1)
 
 
 class TestLoadCsv:
@@ -223,12 +210,18 @@ class TestLoadCsv:
         path = self.write(tmp_path, "x,y,z\n1,2,3.5\n4,5,6.5\n")
         s = load_observations_csv(path)
         assert s.n == 2
-        assert s.observations[0] == Observation(Location2D(1.0, 2.0), 3.5)
+        assert (tuple(s.coords[0]), s.values[0]) == ((1.0, 2.0), 3.5)
 
     def test_renamed_columns_and_delimiter(self, tmp_path):
-        path = self.write(tmp_path, "east;north;ash\n1;2;3\n", name="alt.csv")
-        s = load_observations_csv(path, CsvOptions(x_col="east", y_col="north", z_col="ash", delimiter=";"))
-        assert s.values[0] == 3.0
+        # x, y and z are found by header name in any order, other columns are
+        # ignored, and the delimiter is always a comma
+        path = self.write(tmp_path, "z,id,y,x\n3,a,2,1\n6,b,5,4\n", name="alt.csv")
+        s = load_observations_csv(path)
+        np.testing.assert_array_equal(s.coords, [(1.0, 2.0), (4.0, 5.0)])
+        np.testing.assert_array_equal(s.values, [3.0, 6.0])
+        path = self.write(tmp_path, "x;y;z\n1;2;3\n", name="semicolon.csv")
+        with pytest.raises(DataError, match="lacks required columns"):
+            load_observations_csv(path)
 
     def test_missing_column_reported(self, tmp_path):
         path = self.write(tmp_path, "x,y\n1,2\n")
