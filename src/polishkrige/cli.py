@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, PolishKrigeError
 from .kriging import FAMILIES
-from .model_io import CODEC, fields_of, load_model, read_field, save_model
+from .model_io import CODEC, fields_of, load_model, read_keyed, save_model
 from .predictor import METHODS, FitConfig, cross_validate, fit, predict_grid
 from .spatial_core import load_observations_csv, to_grid
 
@@ -54,25 +54,16 @@ def parse_resolution(text):
 
 
 def parse_config_file(path):
-    """Read key=value lines; '#' starts a comment, blank lines are skipped."""
+    """The typed values of key=value lines (model_io.read_keyed's rule) by
+    key; '#' starts a comment, blank lines are skipped."""
     try:
         with open(path, "r") as fh:
             raw = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
-    out = {}
-    for line_no, line in enumerate(raw, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise DataError(f"{path}: line {line_no}: expected key=value")
-        if key not in _KNOB_FLAGS:
-            raise DataError(f"{path}: line {line_no}: unknown key {key!r}")
-        out[key] = value.strip()
-    return out
+    lines = [(i, line.split("#", 1)[0].strip()) for i, line in enumerate(raw, start=1)]
+    return read_keyed([(i, line) for i, line in lines if line], _KEYS, "=",
+                      lambda message: DataError(f"config file: {message}"))
 
 
 # the one list of fit knobs: flag name (also its config-file key) ->
@@ -96,28 +87,23 @@ _KNOB_FLAGS = {
         metavar="K", help="restrict kriging to the K nearest residuals")),
 }
 _FIELDS = fields_of(FitConfig)
+_KEYS = {key: _FIELDS[field] for key, (field, _) in _KNOB_FLAGS.items()}
 
 
 def build_config(args):
     """Merge the optional config file and explicit flags into a FitConfig.
 
     Flags win over file values; anything unset keeps the FitConfig default.
-    Unparseable file values and any value FitConfig refuses are pipeline
-    errors (exit 1); unparseable flag values never get here (argparse
-    rejects them with exit 2).
+    A config file parse_config_file refuses and any value FitConfig refuses
+    are pipeline errors (exit 1); unparseable flag values never get here
+    (argparse rejects them with exit 2).
     """
-    file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    values = {}
-    for key, (field, _) in _KNOB_FLAGS.items():
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _KNOB_FLAGS:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
-            values[field] = flag
-        elif key in file_cfg:
-            try:
-                values[field] = read_field(_FIELDS[field], file_cfg[key])
-            except ValueError as exc:
-                raise DataError(f"config file: bad value for {key}: {exc}") from None
-    return FitConfig(**values)
+            values[key] = flag
+    return FitConfig(**{_KNOB_FLAGS[key][0]: value for key, value in values.items()})
 
 
 def write_lines(lines, path=None):
@@ -255,9 +241,9 @@ def cmd_cv(args):
 
 
 def _add_config_flags(sp):
-    for key, (field, options) in _KNOB_FLAGS.items():
+    for key, (_, options) in _KNOB_FLAGS.items():
         if "action" not in options:
-            options = dict(options, type=CODEC[_FIELDS[field][0]][1])
+            options = dict(options, type=CODEC[_KEYS[key][0]][1])
         sp.add_argument(f"--{key}", **options)
     sp.add_argument("--config", metavar="FILE",
                     help="key=value config file; flags take precedence")

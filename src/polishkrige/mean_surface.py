@@ -215,7 +215,7 @@ class LinearMeanModel:
 
 def _interp_effect(coords, effects, t):
     """Piecewise-linear effect value at positions t, extending end pairs."""
-    idx, _ = axis_cells(coords, t)
+    idx = axis_cells(coords, t)
     x0 = coords[idx]
     x1 = coords[idx + 1]
     w = (t - x0) / (x1 - x0)

@@ -127,7 +127,9 @@ def polish_stack(cells, tol=None, max_sweeps=100):
 
 def decompose(grid, tol=None, max_sweeps=100):
     """Median polish (polish_stack) of one GridTable; on exhausting max_sweeps
-    converged is False, and the decomposition identity holds regardless."""
+    converged is False, and the decomposition identity holds regardless.
+    Each sweep takes row medians first, and the polish depends on that order:
+    the transposed table gives other effects."""
     overall, row_effects, col_effects, sweeps, converged = polish_stack(
         grid.cells[None], tol, max_sweeps)
     return polish_from_effects(grid.cells, float(overall[0]), row_effects[0], col_effects[0],

@@ -1,16 +1,21 @@
-"""Plain-text serialization of fitted surface models, and the one text form
-of a value that the model file and the CLI config file share.
+"""Plain-text serialization of fitted surface models, and the one reader of
+keyed text that the model file and the CLI config file share.
 
 The format is versioned and self-describing: a signature line, a method
 line, then bracketed sections of whitespace-separated key/value or record
-lines.  [lattice] holds the x and y coordinates and [grid] one "k l value"
-record per present cell; every other section holds its object's fields by
-name, in field order (SECTIONS).  A value's text follows its field's
-annotation (CODEC): floats are written with repr, which round-trips exactly,
-so save -> load -> save is byte-identical; booleans are written 0/1; "none"
-marks an unset field whose default is None.  Each fact is stored once: the
-variogram family comes from the configuration, and SurfaceModel rebuilds the
-residuals (cell minus fitted effects) and the spline centres and ridge.
+lines.  [grid] holds one "k l value" record per present cell; every other
+section holds its fields by name (SECTIONS): [lattice] the x and y
+coordinates, the rest their object's fields in field order.  A value's text
+follows its field's annotation (CODEC): floats are written with repr, which
+round-trips exactly, so save -> load -> save is byte-identical; booleans are
+written 0/1; "none" marks an unset field whose default is None.  Each fact
+is stored once: the variogram family comes from the configuration, and
+SurfaceModel rebuilds the residuals (cell minus fitted effects) and the
+spline centres and ridge.
+
+One rule reads a model section's "name value" lines and the config file's
+"name=value" lines (read_keyed): a malformed line, an unknown or repeated
+name, or an unreadable value is an error naming the line.
 """
 
 from __future__ import annotations
@@ -48,9 +53,6 @@ CODEC = {
     np.ndarray: (lambda v: " ".join(repr(float(x)) for x in v),
                  lambda t: np.array([float(x) for x in t.split()])),
 }
-_write_floats, _read_floats = CODEC[np.ndarray]
-
-
 def fields_of(cls, skip=()):
     """{field name: (annotation, whether None is its default)} of a
     dataclass, in field order, less the names in skip."""
@@ -65,8 +67,9 @@ def read_field(field, text):
     return None if optional and text.lower() == "none" else CODEC[kind][1](text)
 
 
-# section -> the fields of its dataclass that it holds
+# keyed section -> the fields it holds, by name
 SECTIONS = {
+    "lattice": {"x": (np.ndarray, False), "y": (np.ndarray, False)},
     "polish": fields_of(MedianPolishFit, {"residuals"}),
     "variogram": fields_of(VariogramModel, {"family"}),
     "spline": fields_of(BiharmonicModel, {"centers", "regularization"}),
@@ -74,26 +77,25 @@ SECTIONS = {
 }
 
 
-def _section(name, obj):
+def _section(name, values):
     lines = [f"[{name}]"]
     for key, (kind, _) in SECTIONS[name].items():
-        value = getattr(obj, key)
+        value = values[key]
         lines.append(f"{key} {'none' if value is None else CODEC[kind][0](value)}")
     return lines
 
 
 def save_model(model, path):
     """Write a SurfaceModel to a versioned text file."""
-    grid = model.source_grid
-    lines = [SIGNATURE, f"method {model.method}", "[lattice]",
-             f"x {_write_floats(grid.lattice.x_coords)}",
-             f"y {_write_floats(grid.lattice.y_coords)}", "[grid]"]
+    grid, lat = model.source_grid, model.source_grid.lattice
+    lines = [SIGNATURE, f"method {model.method}",
+             *_section("lattice", {"x": lat.x_coords, "y": lat.y_coords}), "[grid]"]
     for k, l in zip(*np.nonzero(grid.present_mask)):
         lines.append(f"{k} {l} {float(grid.cells[k, l])!r}")
-    lines += _section("polish", model.polish) + _section("variogram", model.variogram)
+    lines += _section("polish", vars(model.polish)) + _section("variogram", vars(model.variogram))
     if model.method == "impk":
-        lines += _section("spline", model.mean_component)
-    lines += _section("config", model.config)
+        lines += _section("spline", vars(model.mean_component))
+    lines += _section("config", vars(model.config))
 
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -115,19 +117,26 @@ def _split_sections(lines):
     return sections
 
 
-def _keyed(section_lines, section):
+def read_keyed(lines, fields, sep, error):
+    """The values of numbered (line_no, text) "name<sep>value" lines, by
+    name, each read by its field in fields (read_field).  Raises
+    error(message), the message naming the line, for a line without sep, a
+    name not in fields, a repeated name, or a value its field cannot read."""
     out = {}
-    for line_no, raw in section_lines:
-        key, _, rest = raw.partition(" ")
-        if not rest:
-            raise ModelFormatError(f"line {line_no}: bad entry in [{section}]")
-        out[key] = rest
+    for line_no, raw in lines:
+        name, found, text = raw.partition(sep)
+        name = name.strip()
+        if not found or not name:
+            raise error(f"line {line_no}: expected key{sep}value")
+        if name not in fields:
+            raise error(f"line {line_no}: unknown key {name!r}")
+        if name in out:
+            raise error(f"line {line_no}: repeated key {name!r}")
+        try:
+            out[name] = read_field(fields[name], text.strip())
+        except ValueError as exc:
+            raise error(f"bad value for {name} on line {line_no}: {exc}") from None
     return out
-
-
-def _read_section(sections, name):
-    values = _keyed(sections[name], name)
-    return {key: read_field(field, values[key]) for key, field in SECTIONS[name].items()}
 
 
 def _grid_cells(section_lines, p, q):
@@ -152,9 +161,10 @@ def load_model(path):
     """Read a SurfaceModel back from a file written by save_model.
 
     Raises ModelFormatError for a missing file, wrong signature (including
-    the version 1 and 2 formats, which must be refitted), or any malformed or
-    invalid section, including a repeated or non-finite [grid] cell; messages
-    carry the offending line number or the path, and both for a bad record.
+    the version 1 and 2 formats, which must be refitted), a missing section
+    or one the method does not use, or any malformed or invalid section: a
+    line read_keyed refuses, a missing field, a repeated or non-finite [grid]
+    cell.  Messages carry the path and the offending line, section or field.
     """
     try:
         with open(path, "r") as fh:
@@ -171,18 +181,24 @@ def load_model(path):
     method = lines[1][1].split(" ", 1)[1]
 
     sections = _split_sections(lines[2:])
-    for name in ["lattice", "grid", *SECTIONS]:
-        if name not in sections and (name != "spline" or method == "impk"):
-            raise ModelFormatError(f"{path}: missing section [{name}]")
+    expected = [name for name in ("grid", *SECTIONS) if name != "spline" or method == "impk"]
+    problems = ([f"missing section [{name}]" for name in expected if name not in sections]
+                + [f"unexpected section [{name}]" for name in sections if name not in expected])
+    if problems:
+        raise ModelFormatError(f"{path}: {'; '.join(problems)}")
 
     try:
-        latkv = _keyed(sections["lattice"], "lattice")
-        lattice = GridLattice(_read_floats(latkv["x"]), _read_floats(latkv["y"]))
+        read = {name: read_keyed(sections[name], SECTIONS[name], " ", ModelFormatError)
+                for name in expected if name != "grid"}
+        missing = [f"[{name}] lacks {key}" for name in read for key in SECTIONS[name]
+                   if key not in read[name]]
+        if missing:
+            raise ModelFormatError("; ".join(missing))
+        lattice = GridLattice(read["lattice"]["x"], read["lattice"]["y"])
         grid = GridTable(lattice, _grid_cells(sections["grid"], lattice.p, lattice.q))
-        polish = polish_from_effects(grid.cells, **_read_section(sections, "polish"))
-        config = FitConfig(method=method, **_read_section(sections, "config"))
-        variogram = VariogramModel(config.family, **_read_section(sections, "variogram"))
-        spline = _read_section(sections, "spline") if method == "impk" else {}
-        return SurfaceModel(grid, config, polish, variogram, **spline)
-    except (KeyError, ValueError, DataError, GridStructureError, ModelFormatError) as exc:
+        polish = polish_from_effects(grid.cells, **read["polish"])
+        config = FitConfig(method=method, **read["config"])
+        variogram = VariogramModel(config.family, **read["variogram"])
+        return SurfaceModel(grid, config, polish, variogram, **read.get("spline", {}))
+    except (ValueError, DataError, GridStructureError, ModelFormatError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc

@@ -311,15 +311,10 @@ def to_grid(scatter):
 
 def axis_cells(coords, t):
     """The lattice cell along one axis that holds, or extrapolates to, each
-    position in t, and the side of the axis's extent it lies on.
-
-    Returns (idx, side), vectorised over t.  idx is the 0-based index of the
-    cell's lower node, always within 0..len(coords)-2: inside the extent the
+    position in t: the 0-based index of the cell's lower node, vectorised
+    over t and always within 0..len(coords)-2.  Inside the extent it is the
     cell with coords[idx] <= t <= coords[idx + 1], ties at a node going to
     the lower cell; outside it the boundary pair whose line extends there
-    ((0, 1) below, the last two nodes above).  side is -1, 0 or +1 for below
-    / inside / above the extent.
+    ((0, 1) below, the last two nodes above).
     """
-    idx = np.clip(np.searchsorted(coords, t, side="left") - 1, 0, len(coords) - 2)
-    side = (t > coords[-1]).astype(int) - (t < coords[0]).astype(int)
-    return idx, side
+    return np.clip(np.searchsorted(coords, t, side="left") - 1, 0, len(coords) - 2)

@@ -65,7 +65,7 @@ class TestParsing:
     def test_config_file_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\n\nmethod = impk\nbins=9  # inline\n")
-        assert parse_config_file(cfg) == {"method": "impk", "bins": "9"}
+        assert parse_config_file(cfg) == {"method": "impk", "bins": 9}
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -190,6 +190,14 @@ class TestFitCommand:
         assert run(["fit", csv_path, "--config", cfg, "--out", victim]) == 1
         assert capsys.readouterr().err.startswith("bad-input: fit output paths coincide")
         assert victim.read_bytes() == before
+
+    def test_repeated_config_key_is_bad_input(self, csv_path, tmp_path, capsys):
+        # the second value used to win silently; the line count takes in the
+        # blank and comment lines
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method=impk\n\n# again\nmethod=mpk\n")
+        assert run(["fit", csv_path, "--config", cfg, "--out", tmp_path / "m"]) == 1
+        assert capsys.readouterr().err == "bad-input: config file: line 4: repeated key 'method'\n"
 
     def test_config_file_none_unsets_an_optional_knob(self, csv_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -10,6 +10,10 @@ the gaussian profile is flat to rounding, so last-bit differences in the
 residuals move its predictions by up to about 2e-7 of the range.  Surfaces
 are checked through fit and predict_many, over all residuals and over the
 16 nearest.
+
+Swapping x and y is not an invariance: median polish depends on its sweep
+order, and decompose sweeps rows first, so the transposed table polishes to
+other effects (test_axis_swap_moves_the_node_means).
 """
 
 import functools
@@ -17,11 +21,13 @@ import functools
 import numpy as np
 import pytest
 
+from conftest import DATA_DIR
 from polishkrige import (
     FitConfig,
     GridLattice,
     GridTable,
     cross_validate,
+    decompose,
     fit,
     load_observations_csv,
     predict_many,
@@ -240,3 +246,20 @@ def test_surface_csv_row_order(family, neighborhood, tmp_path):
             runs.append(surfaces(to_grid(load_observations_csv(path)), family, neighborhood,
                                  surface_targets(grid, seed)))
         assert_surfaces(runs[1], runs[0], data_range(grid))
+
+
+# ------------------------------------------------------------ axis order
+
+
+def test_axis_swap_moves_the_node_means(tmp_path):
+    # rows are swept first, so polishing the transposed coal-ash table moves
+    # the node means by up to 1.61; a symmetric polish would change this test
+    text = (DATA_DIR / "coal_ash.csv").read_text()
+    header, body = text.split("\n", 1)
+    assert header == "x,y,z"
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("y,x,z\n" + body)
+    means = [decompose(to_grid(load_observations_csv(path))).node_mean_grid()
+             for path in (DATA_DIR / "coal_ash.csv", swapped)]
+    assert means[1].shape == means[0].T.shape
+    assert np.abs(means[1].T - means[0]).max() == pytest.approx(1.609, abs=1e-3)

@@ -237,6 +237,29 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="bad.model"):
             load_model(path)
 
+    @pytest.mark.parametrize("method,prefix,edit,message", [
+        ("mpk", "nugget", lambda ln: f"{ln}\nnugget 5.0", r"line \d+: repeated key 'nugget'"),
+        ("mpk", "nugget", lambda ln: f"{ln}\nwibble 3", r"line \d+: unknown key 'wibble'"),
+        ("mpk", "neighborhood", lambda ln: f"{ln}\n[wibble]", r"unexpected section \[wibble\]"),
+        ("mpk", "neighborhood", lambda ln: f"{ln}\n[spline]\nstrengths 1.0",
+         r"unexpected section \[spline\]"),
+        ("mpk", "nugget", lambda ln: "", r"\[variogram\] lacks nugget"),
+        ("impk", "y ", lambda ln: "", r"\[lattice\] lacks y"),
+    ], ids=["repeated-key", "unknown-key", "unknown-section", "spline-in-mpk", "missing-key",
+            "missing-lattice-key"])
+    def test_refused_line_or_section_is_named(self, holey_table, tmp_path, method, prefix,
+                                              edit, message):
+        # each used to load: the second key winning, the unknown key or
+        # section ignored; a missing key was a bare KeyError repr
+        path = tmp_path / "bad.model"
+        save_model(fit(holey_table, method), path)
+        lines = path.read_text().splitlines()
+        target = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[target] = edit(lines[target])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf"bad\.model.*{message}"):
+            load_model(path)
+
     @pytest.mark.parametrize("method,section", [("mpk", "config"), ("impk", "spline")])
     def test_missing_section_is_named(self, holey_table, tmp_path, method, section):
         path = tmp_path / "bad.model"

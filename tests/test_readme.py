@@ -1,8 +1,9 @@
 """The README's Python API example runs: once as written, predicting at a
 `Location2D`, and once in the plain `(x, y)` pair form the README names.
 `PAPER.md` once carried the pair form; it now holds only the paper's title
-and abstract, and no code.  The package's public names are pinned, and each
-name the README's Python API section documents is exported."""
+and abstract, and no code.  The package's public names are pinned, each
+name the README's Python API section documents is exported, and the Model
+files section names every model-file section."""
 
 import pathlib
 import re
@@ -86,3 +87,10 @@ def test_readme_api_names_resolve():
         for part in name.split("."):
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_model_file_sections_are_documented():
+    text = README.read_text()
+    section = text[text.index("## Model files"):text.index("## Python API")]
+    for name in ["grid", *polishkrige.model_io.SECTIONS]:
+        assert f"[{name}]" in section, name

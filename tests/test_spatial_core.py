@@ -172,32 +172,29 @@ class TestToGrid:
 
 
 class TestCellContaining:
-    """axis_cells on each axis of the lattice: the cell's lower node index
-    and the side of the extent (-1 below, 0 inside, +1 above)."""
+    """axis_cells on each axis of the lattice: the index of the cell's lower
+    node, the boundary pair outside the extent."""
 
     lat = GridLattice([0.0, 1.0, 2.0, 4.0], [0.0, 10.0, 20.0])
 
     def cell(self, x, y):
-        (col, x_side), (row, y_side) = (axis_cells(self.lat.x_coords, x),
-                                        axis_cells(self.lat.y_coords, y))
-        return int(col), int(row), int(x_side), int(y_side)
+        return int(axis_cells(self.lat.x_coords, x)), int(axis_cells(self.lat.y_coords, y))
 
     def test_interior_point(self):
-        assert self.cell(2.5, 12.0) == (2, 1, 0, 0)
+        assert self.cell(2.5, 12.0) == (2, 1)
 
     def test_node_belongs_to_lower_cell(self):
-        assert self.cell(1.0, 10.0)[:2] == (0, 0)
+        assert self.cell(1.0, 10.0) == (0, 0)
 
     def test_upper_boundary_belongs_to_last_cell(self):
-        assert self.cell(4.0, 20.0) == (2, 1, 0, 0)
+        assert self.cell(4.0, 20.0) == (2, 1)
 
     def test_outside_is_flagged(self):
-        col, _, x_side, y_side = self.cell(-0.5, 5.0)
-        assert (x_side, y_side) == (-1, 0)
+        col, _ = self.cell(-0.5, 5.0)
         assert col == 0
 
     def test_side_flags_mark_crossed_edges(self):
-        assert self.cell(5.0, -1.0) == (2, 0, 1, -1)
+        assert self.cell(5.0, -1.0) == (2, 0)
 
 
 class TestLoadCsv:
