@@ -111,7 +111,8 @@ def empirical_semivariogram(scatter, n_bins=15, max_lag=None):
 
     gamma[b] = sum of (z_i - z_j)^2 over pairs in bin b, divided by twice the
     pair count.  Bins are equal-width over (0, max_lag]; centers are bin
-    midpoints; empty bins are dropped.
+    midpoints; empty bins are dropped.  This is the one-scatter case of
+    _semivariogram_stack.
 
     Args:
         scatter: ScatterSet with n >= 2.
@@ -122,41 +123,91 @@ def empirical_semivariogram(scatter, n_bins=15, max_lag=None):
         DataError: fewer than 2 points, bad parameters, or no pair within
             max_lag.
     """
-    if scatter.n < 2:
-        raise DataError("variogram needs at least 2 observations")
+    emp, = _semivariogram_stack(scatter.coords, scatter.values[None], n_bins, max_lag)
+    if isinstance(emp, DataError):
+        raise emp
+    return emp
+
+
+def _semivariogram_stack(coords, values, n_bins, max_lag, dropped=None):
+    """empirical_semivariogram of B scatters on the same points at once, as
+    a list holding each one's EmpiricalVariogram or the DataError it raises.
+
+    Scatter b is row b of the (B, n) values at the (n, 2) coords, less the
+    point dropped[b] when dropped is given (its value is never read).  The
+    pair distances are computed once, and their bins once per distinct
+    max_lag: a scatter's default is half its own largest pair distance, so
+    only one that drops an end of every longest pair bins them otherwise.
+    Each scatter zeroes its dropped point's squared differences, takes its
+    point's pairs off the shared bin counts, and sums per bin in pair order,
+    so that its estimates are those of its own empirical_semivariogram.
+    """
+    lost = ([np.empty(0, np.intp)] * len(values) if dropped is None
+            else [_pairs_with(len(coords), k) for k in dropped])
+    if len(coords) - (dropped is not None) < 2:
+        return [DataError("variogram needs at least 2 observations")] * len(values)
     if n_bins < 1:
-        raise DataError("n_bins must be at least 1")
+        return [DataError("n_bins must be at least 1")] * len(values)
 
-    d = pdist(scatter.coords)
-    if max_lag is None:
-        max_lag = 0.5 * float(d.max())
-    if not 0 < max_lag < np.inf:
-        raise DataError("max_lag must be finite and positive")
-
-    width = max_lag / n_bins
-    # a pair within 1e-9 bin widths of an edge, max_lag included, goes to the
-    # lower bin, so lattice pairs on an edge keep their bin when coordinates
-    # scale; the distances become bin positions in place, so that one array
-    # over all pairs is held at a time
-    keep = d > 0
-    d /= width
-    np.round(d, 9, out=d)
-    keep &= d <= n_bins
-    if not keep.any():
-        raise DataError(f"no point pair within max_lag {max_lag:g}")
-    d = d[keep]
-    idx = np.ceil(d, out=d).astype(int)
+    d = pdist(coords)
+    if max_lag is not None:
+        lags = [max_lag] * len(values)
+    else:
+        top = d.max()
+        lags = [0.5 * float(top if d[pairs].max(initial=0.0) < top else
+                            np.delete(d, pairs).max()) for pairs in lost]
+    valid = [lag for lag in dict.fromkeys(lags) if 0 < lag < np.inf]
+    bins = {lag: _pair_bins(d if lag == valid[-1] else d.copy(), n_bins, lag)
+            for lag in valid}
     del d
+    counts = {lag: np.bincount(idx, minlength=n_bins + 1) for lag, idx in bins.items()}
+
+    out = []
+    for z, pairs, lag in zip(values, lost, lags):
+        if lag not in bins:
+            out.append(DataError("max_lag must be finite and positive"))
+            continue
+        idx = bins[lag]
+        n_pairs = (counts[lag] - np.bincount(idx[pairs], minlength=n_bins + 1))[:n_bins]
+        if not n_pairs.any():
+            out.append(DataError(f"no point pair within max_lag {lag:g}"))
+            continue
+        sq = pdist(z[:, None], metric="sqeuclidean")
+        sq[pairs] = 0.0
+        sums = np.bincount(idx, weights=sq, minlength=n_bins + 1)[:n_bins]
+        retained = n_pairs > 0
+        centers = (np.flatnonzero(retained) + 0.5) * (lag / n_bins)
+        out.append(EmpiricalVariogram(centers, sums[retained] / (2.0 * n_pairs[retained]),
+                                      n_pairs[retained], float(lag)))
+    return out
+
+
+def _pairs_with(n, k):
+    """Positions in pdist's condensed order of the n - 1 pairs of point k."""
+    i = np.arange(k)
+    start = k * (2 * n - k - 1) // 2
+    return np.concatenate([i * (2 * n - i - 1) // 2 + k - i - 1,
+                           np.arange(start, start + n - k - 1)])
+
+
+def _pair_bins(d, n_bins, max_lag):
+    """The bin, 0 to n_bins - 1, of each pair distance d, which is
+    overwritten; a pair at distance 0 or beyond max_lag gets n_bins.
+
+    A pair within 1e-9 bin widths of an edge, max_lag included, goes to the
+    lower bin, so lattice pairs on an edge keep their bin when coordinates
+    scale.
+    """
+    out = d == 0
+    d /= max_lag / n_bins
+    np.round(d, 9, out=d)
+    out |= d > n_bins
+    np.minimum(d, n_bins, out=d)
+    idx = np.ceil(d, out=d).astype(np.intp)
     idx -= 1
     np.clip(idx, 0, n_bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=n_bins)
-    sq = pdist(scatter.values[:, None], metric="sqeuclidean")[keep]
-    sums = np.bincount(idx, weights=sq, minlength=n_bins)
-
-    retained = counts > 0
-    centers = (np.flatnonzero(retained) + 0.5) * width
-    gamma = sums[retained] / (2.0 * counts[retained])
-    return EmpiricalVariogram(centers, gamma, counts[retained], float(max_lag))
+    idx[out] = n_bins
+    return idx
 
 
 def semivariance(model, h):
@@ -216,67 +267,165 @@ def fit_variogram(emp, family="spherical"):
     over nugget and partial sill in [0, 2 max gamma_hat] and range in
     [1e-3 max_lag, max_lag].  At a fixed range it is a convex quadratic in
     (nugget, partial sill), minimized exactly over that box; the profile over
-    range is searched on a 64-point grid, then by bounded Brent around the
-    best grid point to a tolerance relative to max_lag.  SSEs within 1e-9
-    relative count as tied, so that rounding on a flat profile does not pick
-    the range: the largest tied grid range wins, and Brent's point must beat
-    it by more than that.  The fit is deterministic and equivariant under
-    value and coordinate scaling.
+    range is searched on a 64-point grid, then around the best grid point by
+    this module's bounded Brent search (_bounded_brent, the Forsythe-Malcolm-
+    Moler fminbound) to an absolute tolerance of 1e-10 max_lag.  SSEs within
+    1e-9 relative count as tied, so that rounding on a flat profile does not
+    pick the range: the largest tied grid range wins, and Brent's point must
+    beat it by more than that.  The fit is deterministic and equivariant
+    under value and coordinate scaling.  This is the one-variogram case of
+    _variogram_fit_stack.
 
     All-zero estimates short-circuit to the degenerate zero model (zero
     sill); any other fit has a positive sill.  Raises DataError for an
     unknown family or fewer than 3 occupied bins.
     """
-    # imported here: loading a model and predicting never fit a variogram
-    from scipy.optimize import minimize_scalar
+    model, = _variogram_fit_stack([emp], family)
+    if isinstance(model, DataError):
+        raise model
+    return model
 
+
+def _variogram_fit_stack(emps, family):
+    """fit_variogram of each EmpiricalVariogram in emps at once, as a list of
+    VariogramModels and, where a fit fails or emps holds a DataError, that
+    DataError.  Variograms with equal bin counts are fitted as one stack, in
+    blocks of at most 2**15 floats per (folds, 64, bins) array: one pass
+    over the range grid, then one lockstep Brent search."""
     if family not in FAMILIES:
         raise DataError(f"unknown variogram family {family!r}")
-    if np.all(emp.gamma == 0):
-        return VariogramModel(family, 0.0, 0.0, emp.max_lag)
-    if emp.n_bins < 3:
-        raise DataError(f"variogram fit needs at least 3 occupied bins, got {emp.n_bins}")
+    out, stacks = list(emps), {}
+    for b, emp in enumerate(emps):
+        if isinstance(emp, DataError):
+            continue
+        if np.all(emp.gamma == 0):
+            out[b] = VariogramModel(family, 0.0, 0.0, emp.max_lag)
+        elif emp.n_bins < 3:
+            out[b] = DataError(f"variogram fit needs at least 3 occupied bins, got {emp.n_bins}")
+        else:
+            stacks.setdefault(emp.n_bins, []).append(b)
+    for n_bins, members in stacks.items():
+        step = max(1, 2**15 // (64 * n_bins))
+        for lo in range(0, len(members), step):
+            block = members[lo:lo + step]
+            for b, params in zip(block, _fit_block([emps[b] for b in block], family)):
+                out[b] = VariogramModel(family, *map(float, params))
+    return out
 
-    g = emp.gamma
-    w = emp.pair_counts.astype(np.float64)
-    top = 2.0 * float(g.max())
-    m_w = float(w.sum())
-    m_g = float(np.dot(w, g))
 
-    def profile(ranges):
-        """Least weighted SSE with its (nugget, psill) at each range: the box
-        optimum is the interior stationary point or an edge optimum, and
-        clipping makes every candidate feasible."""
-        s = 1.0 - _correlation_over(family, emp.lag_centers / ranges[:, None])
-        m_s, m_ss, m_gs = s @ w, (s * s) @ w, s @ (w * g)
-        det = m_w * m_ss - m_s * m_s
-        zero, full = np.zeros_like(m_s), np.full_like(m_s, top)
+def _fit_block(emps, family):
+    """(nugget, partial sill, range) rows of fit_variogram for variograms
+    with equal bin counts.  Every weighted sum is one matrix product per
+    variogram, so each row is what a block of one gives."""
+    lags = np.array([emp.lag_centers for emp in emps])
+    g = np.array([emp.gamma for emp in emps])
+    w = np.array([emp.pair_counts for emp in emps], dtype=np.float64)
+    max_lag = np.array([emp.max_lag for emp in emps])
+    top = 2.0 * g.max(axis=1, keepdims=True)
+    m_w = w.sum(axis=1, keepdims=True)
+    m_g = (w[:, None, :] @ g[:, :, None])[:, 0]
+    w_col, wg_col = w[:, :, None], (w * g)[:, :, None]
+
+    def profile(ranges, at=slice(None)):
+        """Least weighted SSE with its (nugget, psill) at each range of the
+        (B', K) ranges of variograms at: the box optimum is the interior
+        stationary point or an edge optimum, and clipping makes every
+        candidate feasible."""
+        s = 1.0 - _correlation_over(family, lags[at, None, :] / ranges[:, :, None])
+        m_s, m_ss, m_gs = ((x @ col)[..., 0] for x, col in
+                           ((s, w_col[at]), (s * s, w_col[at]), (s, wg_col[at])))
+        mw, mg, full = m_w[at], m_g[at], top[at]
+        det = mw * m_ss - m_s * m_s
+        zero = np.zeros_like(m_s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nuggets = [(m_g * m_ss - m_s * m_gs) / det, zero, full,
-                       zero + m_g / m_w, (m_g - top * m_s) / m_w]
-            psills = [(m_w * m_gs - m_s * m_g) / det, m_gs / m_ss,
-                      (m_gs - top * m_s) / m_ss, zero, full]
-        nug = np.clip(np.nan_to_num(nuggets), 0.0, top)
-        psill = np.clip(np.nan_to_num(psills), 0.0, top)
-        resid = g - nug[..., None] - psill[..., None] * s
-        sse = (resid * resid) @ w
+            nuggets = [(mg * m_ss - m_s * m_gs) / det, zero, zero + full,
+                       zero + mg / mw, (mg - full * m_s) / mw]
+            psills = [(mw * m_gs - m_s * mg) / det, m_gs / m_ss,
+                      (m_gs - full * m_s) / m_ss, zero, zero + full]
+        nug = np.fmax(np.minimum(nuggets, full), 0.0)
+        psill = np.fmax(np.minimum(psills, full), 0.0)
+        sse = np.empty_like(nug)
+        for c in range(len(sse)):
+            resid = g[at, None, :] - nug[c][..., None] - psill[c][..., None] * s
+            sse[c] = ((resid * resid) @ w_col[at])[..., 0]
         best = np.argmin(sse, axis=0)
-        cols = np.arange(len(ranges))
-        return sse[best, cols], nug[best, cols], psill[best, cols]
+        return tuple(np.choose(best, x) for x in (sse, nug, psill))
 
-    ranges = np.linspace(1e-3 * emp.max_lag, emp.max_lag, 64)
+    ranges = np.linspace(1e-3 * max_lag, max_lag, 64, axis=1)
     sse = profile(ranges)[0]
-    i = int(np.flatnonzero(sse <= sse.min() * (1 + 1e-9))[-1])
-    refined = minimize_scalar(
-        lambda r: profile(np.array([r]))[0][0],
-        bounds=(ranges[max(i - 1, 0)], ranges[min(i + 1, len(ranges) - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10 * emp.max_lag},
-    )
-    ranges = np.array([ranges[i], refined.x])
+    tied = sse <= sse.min(axis=1, keepdims=True) * (1 + 1e-9)
+    i = ranges.shape[1] - 1 - np.argmax(tied[:, ::-1], axis=1)
+    rows = np.arange(len(emps))
+    refined = _bounded_brent(lambda r, at: profile(r[:, None], at)[0][:, 0],
+                             ranges[rows, np.maximum(i - 1, 0)],
+                             ranges[rows, np.minimum(i + 1, ranges.shape[1] - 1)],
+                             1e-10 * max_lag)
+    ranges = np.column_stack([ranges[rows, i], refined])
     sse, nug, psill = profile(ranges)
-    j = int(sse[1] < sse[0] * (1 - 1e-9))
-    return VariogramModel(family, float(nug[j]), float(psill[j]), float(ranges[j]))
+    j = (sse[:, 1] < sse[:, 0] * (1 - 1e-9)).astype(np.intp)
+    return np.column_stack([nug[rows, j], psill[rows, j], ranges[rows, j]])
+
+
+def _bounded_brent(f, lo, hi, xatol):
+    """Minimizers of B scalar functions, each over its [lo, hi], by Brent's
+    method (Brent 1973, ch. 5) as Forsythe, Malcolm & Moler's fminbound
+    states it, with the absolute tolerances xatol and at most 500
+    evaluations each; all run in lockstep, one evaluation per step.
+
+    f(x, at) is the functions at (an index array) evaluated at the points x.
+    Each keeps its best point xf, its second best nfc and its previous
+    second best fulc, with their values, and tries a parabola through them
+    before a golden-section step into the larger part of its bracket [a, b].
+    """
+    sqrt_eps, golden = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    xf = a + golden * (b - a)
+    fx = f(xf, np.arange(len(xf)))
+    zero = np.zeros_like(xf)
+    state = np.array([a, b, xf, fx, xf, fx, xf, fx, zero, zero])
+    for _ in range(499):
+        a, b, xf = state[:3]
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        at = np.flatnonzero(np.abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a))
+        if not at.size:
+            break
+        a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat = state[:, at]
+        xm, tol1 = xm[at], tol1[at]
+        tol2 = 2.0 * tol1
+
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - xf)) & (p < q * (b - xf)))
+        step = np.where(xf >= xm, a - xf, b - xf)
+        e, rat = (np.where(parabolic, rat, step),
+                  np.where(parabolic, np.divide(p, q, out=zero[at], where=parabolic),
+                           golden * step))
+        x = xf + rat
+        near = parabolic & ((x - a < tol2) | (b - x < tol2))
+        rat = np.where(near, tol1 * (np.sign(xm - xf) + (xm == xf)), rat)
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x, at)
+
+        better = fu <= fx
+        bound = np.where(better, xf, x)
+        lower = (x >= xf) == better
+        a, b = np.where(lower, bound, a), np.where(lower, b, bound)
+        second = ~better & ((fu <= fnfc) | (nfc == xf))
+        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        shift = better | second
+        fulc, ffulc = (np.where(shift, nfc, np.where(third, x, fulc)),
+                       np.where(shift, fnfc, np.where(third, fu, ffulc)))
+        nfc, fnfc = (np.where(better, xf, np.where(second, x, nfc)),
+                     np.where(better, fx, np.where(second, fu, fnfc)))
+        xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+        state[:, at] = [a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat]
+    return state[2]
 
 
 _ZERO_SILL = "zero-sill model has no unique kriging weights"

@@ -21,6 +21,8 @@ from .kriging import (
     FAMILIES,
     KrigingPrediction,
     KrigingSystem,
+    _semivariogram_stack,
+    _variogram_fit_stack,
     empirical_semivariogram,
     fit_variogram,
 )
@@ -274,15 +276,31 @@ def loocv(grid, method, config=None):
     return cross_validate(grid, (method,), config)[0]
 
 
-def _polished_folds(grid, rows, cols, config):
-    """The polish of the grid less each cell (rows[j], cols[j]), by stacks of 2**20 cells."""
+def _folds(grid, dropped, config, frozen=None):
+    """(polish, residual variogram) of the grid less each present cell
+    dropped[j] (row-major index), by stacks of 2**20 cells.  A stack's
+    tables are polished as one, and their residual variograms estimated and
+    fitted in one pass (kriging._semivariogram_stack and
+    _variogram_fit_stack), each a DataError where it cannot be fitted;
+    frozen, when given, replaces them all."""
+    rows, cols = np.nonzero(grid.present_mask)
+    coords = grid.to_scatter().coords
     step = max(1, 2**20 // grid.cells.size)
-    for lo in range(0, len(rows), step):
-        tables = np.repeat(grid.cells[None], len(rows[lo:lo + step]), axis=0)
-        tables[np.arange(len(tables)), rows[lo:lo + step], cols[lo:lo + step]] = np.nan
+    for lo in range(0, len(dropped), step):
+        cells = dropped[lo:lo + step]
+        tables = np.repeat(grid.cells[None], len(cells), axis=0)
+        tables[np.arange(len(cells)), rows[cells], cols[cells]] = np.nan
         polished = polish_stack(tables, config.mp_tol, config.max_sweeps)
-        for table, overall, row, col, sweeps, done in zip(tables, *polished):
-            yield polish_from_effects(table, float(overall), row, col, int(sweeps), bool(done))
+        polishes = [polish_from_effects(table, float(overall), row, col, int(sweeps), bool(done))
+                    for table, overall, row, col, sweeps, done in zip(tables, *polished)]
+        if frozen is not None:
+            variograms = [frozen] * len(cells)
+        else:
+            emps = _semivariogram_stack(
+                coords, np.array([polish.residuals[rows, cols] for polish in polishes]),
+                config.n_bins, config.max_lag, dropped=cells)
+            variograms = _variogram_fit_stack(emps, config.family)
+        yield from zip(polishes, variograms)
 
 
 def cross_validate(grid, methods, config=None):
@@ -291,10 +309,15 @@ def cross_validate(grid, methods, config=None):
 
     Every present cell is deleted in turn (row-major order) and predicted at
     its node as a refit without it would.  The fold tables are polished as
-    stacks; each fold's residual variogram and kriging serve every method,
-    and the impk fold spline comes from one factorization.  Folds whose
-    deletion would empty a row or column, or whose refit fails, are skipped
-    with a reason, in fit's failure order: spline, then residual part."""
+    stacks, and one batched variogram pass serves all the folds of a stack:
+    the pair distances and bins are shared, and every fold's variogram is
+    fitted in one grid pass and one lockstep Brent search, to the values
+    fit_variogram gives it alone.  Each fold's residual variogram and
+    kriging serve every method, and the impk fold spline comes from one
+    factorization.  Folds whose deletion would empty a row or column, or
+    whose refit fails, are skipped with a reason, in fit's failure order:
+    spline, then residual part; when every fold is skipped, the DataError
+    gives their number and the first one's reason."""
     config = config or FitConfig()
     configs = [replace(config, method=m) for m in methods]
     frozen = fit(grid, "mpk", config).variogram if config.freeze_variogram else None
@@ -302,12 +325,12 @@ def cross_validate(grid, methods, config=None):
     rows, cols = np.nonzero(present)
     row_counts, col_counts = present.sum(axis=1), present.sum(axis=0)
     usable = (row_counts[rows] >= 2) & (col_counts[cols] >= 2)
-    polished = _polished_folds(grid, rows[usable], cols[usable], config)
+    folds = _folds(grid, np.flatnonzero(usable), config, frozen)
     if "impk" in methods:
         centers, effects = _spline_frame(grid)
         deletion = biharmonic_deletions(centers, config.epsilon)
 
-    def outcomes(polish, i, xy):
+    def outcomes(polish, variogram, i, xy):
         """{method: (value, variance) or skip reason} for deleted cell i."""
         means, reasons = {}, {}
         try:
@@ -318,7 +341,9 @@ def cross_validate(grid, methods, config=None):
                     means["impk"] = polish.overall + deletion(i, effects(polish))
                 except PolishKrigeError as exc:
                     reasons["impk"] = f"{exc.category}: {exc}"
-            resid, var = _residual_system(polish, lat, config, frozen).predict_many(xy)
+            if isinstance(variogram, PolishKrigeError):
+                raise variogram
+            resid, var = _residual_system(polish, lat, config, variogram).predict_many(xy)
         except PolishKrigeError as exc:
             return {m: reasons.get(m, f"{exc.category}: {exc}") for m in methods}
         return {m: reasons.get(m) or (float(means[m] + resid[0]), float(var[0]))
@@ -329,8 +354,8 @@ def cross_validate(grid, methods, config=None):
     for i, (k, l) in enumerate(zip(rows, cols)):
         node, observed = lat.node(k, l), float(grid.cells[k, l])
         if usable[i]:
-            polish = next(polished)
-            fold = outcomes(polish, i, np.array([[node.x, node.y]]))
+            polish, variogram = next(folds)
+            fold = outcomes(polish, variogram, i, np.array([[node.x, node.y]]))
         else:
             fold = dict.fromkeys(methods, f"deletion empties row {k}" if row_counts[k] < 2
                                  else f"deletion empties column {l}")
@@ -342,8 +367,12 @@ def cross_validate(grid, methods, config=None):
             records[m].append(CvRecord(node, observed, value, value - observed, variance))
             unconverged[m] += not polish.converged
 
-    if not all(records.values()):
-        raise DataError("no completed cross-validation folds")
+    for m in methods:
+        if not records[m]:
+            first = skipped[m][0]
+            raise DataError(f"no completed cross-validation folds ({m}): all {len(skipped[m])} "
+                            f"skipped; the first, at ({first.location.x:g}, "
+                            f"{first.location.y:g}): {first.reason}")
     return [CvReport(c.method, tuple(records[c.method]), tuple(skipped[c.method]),
                      rmse([r.error for r in records[c.method]]), c, unconverged[c.method])
             for c in configs]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import polishkrige
+from conftest import DATA_DIR
 from polishkrige import (DataError, FitConfig, GridLattice, GridTable, Location2D,
                          cross_validate, load_model)
 from polishkrige.cli import (
@@ -402,6 +403,20 @@ class TestCvCommand:
         report = cross_validate(grid, ("mpk",))[0]
         assert captured.out.splitlines() == render_cv_csv(report)
 
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--bins", "2", "variogram fit needs at least 3 occupied bins, got 2"),
+        ("--max-lag", "0.5", "no point pair within max_lag 0.5"),
+    ])
+    def test_every_fold_skipped_names_the_count_and_first_reason(self, tmp_path, capsys,
+                                                                flag, value, reason):
+        coal = DATA_DIR / "coal_ash.csv"
+        assert run(["fit", coal, flag, value, "--out", tmp_path / "m"]) == 1
+        assert capsys.readouterr().err == f"bad-input: {reason}\n"
+        assert run(["cv", coal, "--both", flag, value, "--out", tmp_path / "cv.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "bad-input: no completed cross-validation folds (mpk): all 208 skipped; "
+            f"the first, at (5, 1): bad-input: {reason}\n")
+
     def test_rerun_is_byte_identical(self, csv_path, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -454,3 +469,24 @@ def test_loading_and_predicting_never_import_the_optimizer(csv_path, tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1].startswith("RMSE,MPK,")
+
+
+def test_fitting_and_cross_validating_never_import_the_optimizer(csv_path, tmp_path):
+    # the variogram fit runs its own bounded Brent search
+    model_path = tmp_path / "obs.model"
+    code = "\n".join([
+        "import sys",
+        "from polishkrige.cli import main",
+        f"assert main(['fit', {str(csv_path)!r}, '--method', 'impk', "
+        f"'--out', {str(model_path)!r}]) == 0",
+        f"assert main(['surface', {str(model_path)!r}, '--resolution', '5x4', "
+        f"'--out', {str(tmp_path / 'grid.csv')!r}]) == 0",
+        f"assert main(['cv', {str(csv_path)!r}, '--both', "
+        f"'--out', {str(tmp_path / 'cv.csv')!r}]) == 0",
+        "assert 'scipy.optimize' not in sys.modules",
+    ])
+    src = str(pathlib.Path(polishkrige.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("IMPK,")

@@ -27,8 +27,15 @@ from polishkrige import (
     predict_many,
     rmse,
 )
+from polishkrige.kriging import (
+    _semivariogram_stack,
+    _variogram_fit_stack,
+    empirical_semivariogram,
+    fit_variogram,
+)
 from polishkrige.mean_surface import BiharmonicModel
-from polishkrige.predictor import SurfaceModel
+from polishkrige.median_polish import residuals_as_scatter
+from polishkrige.predictor import SurfaceModel, _folds
 
 
 def thin_row_table():
@@ -440,6 +447,26 @@ class TestResidualEngine:
         model = fit(coal_ash_grid, "mpk", FitConfig(neighborhood=100))
         assert self.peak(model, (60, 60)) < 2 * 2**20 * 8
 
+    def test_cross_validation_memory_is_bounded(self, coal_ash_grid):
+        # the 208 coal-ash folds are polished as one stack and their
+        # variograms fitted by blocks of 2**15 floats per (folds, 64, bins)
+        # array, so the polish stack sets the peak (4.4 MB measured); four
+        # times as many variograms in one fit hold no more scratch
+        def traced_peak(call, *args):
+            tracemalloc.start()
+            try:
+                call(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(cross_validate, coal_ash_grid, ("mpk", "impk")) < 6e6
+        scatter = fit(coal_ash_grid, "mpk").residual_scatter
+        emps = _semivariogram_stack(scatter.coords, np.tile(scatter.values, (scatter.n, 1)),
+                                    15, None, dropped=np.arange(scatter.n))
+        one = traced_peak(_variogram_fit_stack, emps, "spherical")
+        assert traced_peak(_variogram_fit_stack, emps * 4, "spherical") < 1.25 * one
+
 
 class TestCrossValidate:
     """One fold pass for both methods equals a full refit per fold."""
@@ -491,6 +518,40 @@ class TestCrossValidate:
         else:
             assert [s.reason.split(" (")[0] for s in impk.skipped] == [
                 "singular-system: green-function system is numerically singular"]
+
+    @pytest.mark.parametrize("knobs", [{}, {"n_bins": 2}, {"max_lag": 0.5}],
+                             ids=["default", "two-bins", "short-max-lag"])
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    @pytest.mark.parametrize("survey", ["coal-ash", "holey"])
+    def test_batched_variograms_match_one_by_one(self, coal_ash_grid, holey_table, survey,
+                                                  family, knobs):
+        # one pass estimates and fits every fold's variogram; each must be
+        # what empirical_semivariogram and fit_variogram give its fold alone
+        grid = coal_ash_grid if survey == "coal-ash" else holey_table
+        config = FitConfig(family=family, **knobs)
+        rows, cols = np.nonzero(grid.present_mask)
+        dropped = np.arange(len(rows))
+        folds = list(_folds(grid, dropped, config))
+        emps = _semivariogram_stack(grid.to_scatter().coords,
+                                    np.array([p.residuals[rows, cols] for p, _ in folds]),
+                                    config.n_bins, config.max_lag, dropped)
+        for (polish, fitted), emp in zip(folds, emps):
+            scatter = residuals_as_scatter(polish, grid.lattice)
+            try:
+                want_emp = empirical_semivariogram(scatter, config.n_bins, config.max_lag)
+                want = fit_variogram(want_emp, family)
+            except DataError as exc:
+                assert isinstance(fitted, DataError)
+                assert f"{fitted.category}: {fitted}" == f"{exc.category}: {exc}"
+                continue
+            for name in ("lag_centers", "gamma", "pair_counts", "max_lag"):
+                np.testing.assert_array_equal(getattr(emp, name), getattr(want_emp, name))
+            assert fitted.family == family
+            assert [fitted.nugget, fitted.partial_sill, fitted.range] == pytest.approx(
+                [want.nugget, want.partial_sill, want.range], rel=1e-9)
+        if survey == "coal-ash" and not knobs:
+            # the folds that delete an end of the longest pair bin by their own max_lag
+            assert len({emp.max_lag for emp in emps}) == 2
 
     def test_one_method_is_loocv(self, holey_table):
         both = cross_validate(holey_table, ("mpk", "impk"))
