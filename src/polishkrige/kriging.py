@@ -13,9 +13,12 @@ weights at a target of covariances c are C^-1 c + k u and the multiplier is
 -k, k = (1 - u . c) / (1 . u).  Over all points this is dual kriging: one
 Cholesky factor C = L L^T gives the generalized-least-squares mean m and the
 dual weights alpha = C^-1 (z - m), so a value is m + alpha . c in O(n) per
-target and a variance needs one triangular solve L^-1 c.  Over the k nearest
-points (a KD-tree finds them), one inverse of each target's k x k C gives its
-weights, refined once against C, and its exact 1-norm condition.
+target and a variance needs v = L^-1 c.  A call of fewer than n targets
+solves for v; a call of n or more multiplies by W = L^-1 (LAPACK trtri, then
+BLAS trmm), which runs at matrix-multiply speed and is accurate to about
+eps kappa(L) = eps sqrt(kappa(C)) (Higham 2002, ch. 8 and 14).  Over the k
+nearest points (a KD-tree finds them), one inverse of each target's k x k C
+gives its weights, refined once against C, and its exact 1-norm condition.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
@@ -445,7 +448,9 @@ class KrigingSystem:
     distance, ties within 1e-9 relative to the lower scatter index), raising
     SingularSystemError if any exact rcond is below RCOND_FLOOR or an inverse
     does not exist.
-    target_floats bounds the float64 scratch per target of a predict call.
+    target_floats bounds the float64 scratch per target of a predict call;
+    on the global path the n x n W = L^-1 of a call of m >= n targets fits
+    within the n floats per target it already counts.
     A zero-sill model predicts zero only for zero values.
     """
 
@@ -456,7 +461,7 @@ class KrigingSystem:
         self.scatter = scatter
         self.model = model
         self.neighborhood = None if neighborhood is None or neighborhood >= n else neighborhood
-        # global: the target covariances, which the triangular solve overwrites;
+        # global: the target covariances, which v = L^-1 c overwrites;
         # neighbourhood: about six arrays over the 2k candidates (tree distances
         # and indices, coordinate differences, np.hypot, the partition, the tie
         # count), then three k x k arrays (the x and y differences, later the
@@ -486,6 +491,18 @@ class KrigingSystem:
         """L^-1 b, or L^-T b with trans="T"."""
         return solve_triangular(self._chol, b, trans=trans, lower=True,
                                 overwrite_b=overwrite, check_finite=False)
+
+    def _lower_apply(self, c):
+        """L^-1 c over the Fortran-ordered (n, m) c: solved for m < n, else
+        multiplied by W = L^-1, whose n x n floats fit within m x n."""
+        if c.shape[1] < self.scatter.n:
+            return self._lower_solve(c, overwrite=True)
+        trtri, = get_lapack_funcs(("trtri",), (self._chol,))
+        w, info = trtri(self._chol, lower=1)
+        if info != 0:
+            raise SingularSystemError("kriging covariance factor is singular", condition=0.0)
+        trmm, = get_blas_funcs(("trmm",), (w,))
+        return trmm(1.0, w, c, lower=1, overwrite_b=1)
 
     def _target_covariance(self, targets):
         """Unit-sill covariances (n, m), Fortran-ordered, at (m, 2) targets."""
@@ -588,7 +605,7 @@ class KrigingSystem:
         if self.neighborhood is None:
             c = self._target_covariance(targets)
             values = self._mean + self._alpha @ c
-            v = self._lower_solve(c, overwrite=True)
+            v = self._lower_apply(c)
             k = (1.0 - self._u @ v) / self._uu
             unit_var = c0 - np.einsum("nm,nm->m", v, v) + k * k * self._uu
         else:

@@ -414,15 +414,70 @@ class TestDualKriging:
         assert (cdist(targets, scatter.coords) == 0).any()
         lam, mu, want_values, want_variances = augmented_reference(scatter, variogram, targets)
         system = KrigingSystem(scatter, variogram)
-        values, variances = system.predict_many(targets)
-        np.testing.assert_allclose(values, want_values, rtol=1e-10,
-                                   atol=1e-10 * np.abs(scatter.values).max())
-        np.testing.assert_allclose(variances, np.maximum(want_variances, 0.0), rtol=1e-10,
-                                   atol=1e-10 * variogram.sill)
+        n = scatter.n
+        # one call of 713 >= n targets multiplies by L^-1; calls of 100 < n solve
+        chunks = [system.predict_many(targets[lo:lo + 100]) for lo in range(0, len(targets), 100)]
+        for values, variances in [system.predict_many(targets),
+                                  [np.concatenate(part) for part in zip(*chunks)]]:
+            np.testing.assert_allclose(values, want_values, rtol=1e-10,
+                                       atol=1e-10 * np.abs(scatter.values).max())
+            np.testing.assert_allclose(variances, np.maximum(want_variances, 0.0), rtol=1e-10,
+                                       atol=1e-10 * variogram.sill)
+        below, at = system.predict_many(targets[:n - 1]), system.predict_many(targets[:n])
+        np.testing.assert_allclose(at[1][:n - 1], below[1], rtol=0, atol=1e-12 * variogram.sill)
         for j in (0, 17, len(targets) - 1):
             w = ok_solve(scatter, variogram, Location2D(*targets[j]))
             np.testing.assert_allclose(w.weights, lam[:, j], rtol=1e-9, atol=1e-12)
             assert w.lagrange == pytest.approx(mu[j], rel=1e-9, abs=1e-12)
+
+    @staticmethod
+    def near_floor(range_):
+        """A zero-nugget gaussian of the given range on a 7 x 8 unit lattice,
+        and 132 targets over and just beyond it: the range sweep 2 to 6 takes
+        rcond from 6.9e-3 to 1.1e-12, two decades above RCOND_FLOOR."""
+        gx, gy = np.meshgrid(np.arange(8.0), np.arange(7.0))
+        values = np.random.default_rng(11).normal(size=56)
+        scatter = ScatterSet(np.column_stack([gx.ravel(), gy.ravel()]), values)
+        tx, ty = np.meshgrid(np.linspace(-0.5, 7.5, 12), np.linspace(-0.5, 6.5, 11))
+        system = KrigingSystem(scatter, VariogramModel("gaussian", 0.0, 1.0, range_))
+        return system, np.column_stack([tx.ravel(), ty.ravel()])
+
+    @pytest.mark.parametrize("range_", [2.0, 3.0, 4.0, 5.0, 6.0])
+    def test_dense_and_small_calls_agree_near_the_floor(self, range_):
+        # one call of 132 >= n targets multiplies by L^-1, which is accurate
+        # to about eps kappa(L) = eps / sqrt(rcond); calls of n - 1 solve
+        system, targets = self.near_floor(range_)
+        n = system.scatter.n
+        _, dense = system.predict_many(targets)
+        small = np.concatenate([system.predict_many(targets[lo:lo + n - 1])[1]
+                                for lo in range(0, len(targets), n - 1)])
+        bound = 10 * np.finfo(float).eps / system.rcond * system.model.sill
+        np.testing.assert_allclose(dense, small, rtol=0, atol=bound)
+
+    def test_worst_range_against_the_oracle(self):
+        system, targets = self.near_floor(6.0)
+        assert system.rcond < 1e-11
+        picked = [0, 61]  # a corner beyond the lattice and a point inside it
+        dense = [out[picked] for out in system.predict_many(targets)]
+        small = system.predict_many(targets[picked])
+        scatter, eps = system.scatter, np.finfo(float).eps
+        for j, target in enumerate(targets[picked]):
+            _, _, value, variance = mp_ok_reference(scatter.coords, scatter.values,
+                                                    "gaussian", 0.0, 1.0, 6.0, target)
+            for values, variances in (dense, small):
+                assert values[j] == pytest.approx(
+                    float(value), abs=10 * eps / system.rcond * np.abs(scatter.values).max())
+                assert variances[j] == pytest.approx(
+                    max(float(variance), 0.0), abs=10 * eps / system.rcond)
+
+    def test_zero_pivot_of_the_inverse_factor_is_singular(self, rng):
+        system = copy.copy(KrigingSystem(random_scatter(rng, 6),
+                                         VariogramModel("spherical", 0.1, 1.0, 4.0)))
+        system._chol = system._chol.copy(order="F")
+        system._chol[2, 2] = 0.0
+        with pytest.raises(SingularSystemError) as info:
+            system.predict_many(rng.uniform(0, 10, size=(6, 2)))
+        assert info.value.condition == 0.0
 
     def test_not_positive_definite_covariance_is_singular(self, rng):
         scatter = random_scatter(rng, 12)

@@ -415,6 +415,13 @@ class TestResidualEngine:
         model = fit(coal_ash_grid, "impk")
         assert self.peak(model, (300, 300)) < 1.5 * self.peak(model, (100, 100))
 
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    def test_global_scratch_is_bounded(self, coal_ash_grid, method):
+        # chunks of 5,041 targets for n = 208 take the L^-1 product, whose n x n
+        # inverse fits in the chunk's own n x m covariances (13.2 MiB measured)
+        model = fit(coal_ash_grid, method)
+        assert self.peak(model, (300, 300)) < 2 * 2**20 * 8
+
     def test_wide_neighbourhood_memory_does_not_grow_with_grid(self, coal_ash_grid):
         # 100 of 208 neighbours: the stacked systems, not the scatter size,
         # set the memory per target
