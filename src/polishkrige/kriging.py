@@ -13,12 +13,17 @@ weights at a target of covariances c are C^-1 c + k u and the multiplier is
 -k, k = (1 - u . c) / (1 . u).  Over all points this is dual kriging: one
 Cholesky factor C = L L^T gives the generalized-least-squares mean m and the
 dual weights alpha = C^-1 (z - m), so a value is m + alpha . c in O(n) per
-target and a variance needs v = L^-1 c.  A call of fewer than n targets
-solves for v; a call of n or more multiplies by W = L^-1 (LAPACK trtri, then
-BLAS trmm), which runs at matrix-multiply speed and is accurate to about
-eps kappa(L) = eps sqrt(kappa(C)) (Higham 2002, ch. 8 and 14).  Over the k
-nearest points (a KD-tree finds them), one inverse of each target's k x k C
-gives its weights, refined once against C, and its exact 1-norm condition.
+target and a variance needs v = L^-1 c.  A call works through its targets
+in chunks that reuse one buffer for their distances to the points (the
+surface predictors read their mean off the same distances).  A call of n or
+more targets, when n^2 <= 2**20, forms W = L^-1 once (LAPACK trtri) and
+multiplies each chunk by it (BLAS trmm), which runs at matrix-multiply speed
+and is accurate to about eps kappa(L) = eps sqrt(kappa(C)) (Higham 2002,
+ch. 8 and 14), in chunks of about 2**16 floats that stay in cache (Goto &
+van de Geijn 2008); any other call solves for v, in chunks of about 2**20
+floats.  Over the k nearest points (a KD-tree finds them), one inverse of
+each target's k x k C gives its weights, refined once against C, and its
+exact 1-norm condition.
 """
 
 from __future__ import annotations
@@ -448,9 +453,10 @@ class KrigingSystem:
     distance, ties within 1e-9 relative to the lower scatter index), raising
     SingularSystemError if any exact rcond is below RCOND_FLOOR or an inverse
     does not exist.
-    target_floats bounds the float64 scratch per target of a predict call;
-    on the global path the n x n W = L^-1 of a call of m >= n targets fits
-    within the n floats per target it already counts.
+    target_floats bounds the float64 scratch per target of a k-nearest
+    predict call; on the global path it is n, the distances of a chunk that
+    solves, and a call sizes its own chunks (_chunking): W = L^-1 is formed
+    only for n^2 <= 2**20, so it never holds more than 2**20 floats.
     A zero-sill model predicts zero only for zero values.
     """
 
@@ -492,21 +498,61 @@ class KrigingSystem:
         return solve_triangular(self._chol, b, trans=trans, lower=True,
                                 overwrite_b=overwrite, check_finite=False)
 
-    def _lower_apply(self, c):
-        """L^-1 c over the Fortran-ordered (n, m) c: solved for m < n, else
-        multiplied by W = L^-1, whose n x n floats fit within m x n."""
-        if c.shape[1] < self.scatter.n:
-            return self._lower_solve(c, overwrite=True)
-        trtri, = get_lapack_funcs(("trtri",), (self._chol,))
-        w, info = trtri(self._chol, lower=1)
-        if info != 0:
-            raise SingularSystemError("kriging covariance factor is singular", condition=0.0)
-        trmm, = get_blas_funcs(("trmm",), (w,))
-        return trmm(1.0, w, c, lower=1, overwrite_b=1)
+    def _chunking(self, m):
+        """(targets per chunk, whether to multiply by W = L^-1) of a global
+        predict call of m targets: W when m >= n and n^2 <= 2**20, with about
+        2**16 floats of distances per chunk; otherwise 2**20."""
+        n = self.scatter.n
+        dense = n <= m and n * n <= 2**20
+        return max(1, min(m, (2**16 if dense else 2**20) // n)), dense
 
-    def _target_covariance(self, targets):
-        """Unit-sill covariances (n, m), Fortran-ordered, at (m, 2) targets."""
-        return _covariance_over(self._unit, cdist(targets, self.scatter.coords)).T
+    def _dual_predict(self, targets, mean=None):
+        """Values and variances of the global path at (m, 2) checked
+        targets, chunk by chunk (_chunking), through one distance buffer
+        that every chunk reuses: cdist fills it, the covariance overwrites
+        it, and v = L^-1 c overwrites that, by a product with W, formed once
+        per call, or else by a triangular solve.
+
+        mean(points, d), when given, is a mean surface at a chunk of points
+        from d, their distances to the sites, which it may read but not
+        write; it runs before the covariance overwrites d, and its values
+        are added to the kriged ones."""
+        n, m = self.scatter.n, len(targets)
+        rows, dense = self._chunking(m)
+        if dense:
+            trtri, = get_lapack_funcs(("trtri",), (self._chol,))
+            w, info = trtri(self._chol, lower=1)
+            if info != 0:
+                raise SingularSystemError("kriging covariance factor is singular", condition=0.0)
+            trmm, = get_blas_funcs(("trmm",), (w,))
+        buffer = np.empty((rows, n))
+        values, variances = np.empty(m), np.empty(m)
+        for lo in range(0, m, rows):
+            points = targets[lo:lo + rows]
+            d = cdist(points, self.scatter.coords, out=buffer[:len(points)])
+            base = None if mean is None else mean(points, d)
+            c = _covariance_over(self._unit, d).T
+            resid = self._mean + self._alpha @ c
+            values[lo:lo + rows] = resid if base is None else base + resid
+            v = (trmm(1.0, w, c, lower=1, overwrite_b=1) if dense
+                 else self._lower_solve(c, overwrite=True))
+            k = (1.0 - self._u @ v) / self._uu
+            variances[lo:lo + rows] = self._variances(
+                self._unit.sill - np.einsum("nm,nm->m", v, v) + k * k * self._uu)
+        return values, variances
+
+    def _variances(self, unit_var):
+        """Variances from the unit-sill unit_var, which is overwritten,
+        with rounding below zero clipped; PolishKrigeError for one below
+        -1e-9 (an inconsistent covariance model)."""
+        bad = unit_var < -1e-9
+        variances = np.multiply(unit_var, self.model.sill, out=unit_var)
+        if bad.any():
+            raise PolishKrigeError(
+                f"negative kriging variance {variances[bad].min():.3e} "
+                "(inconsistent covariance model)"
+            )
+        return np.maximum(variances, 0.0, out=variances)
 
     def _nearest(self, targets):
         """(m, k) indices of every target's k nearest points, ascending: the
@@ -557,7 +603,7 @@ class KrigingSystem:
         if self.neighborhood is None:
             # weights C^-1 (c + k 1) = L^-T (v + k u) with v = L^-1 c, here
             # u = L^-1 1, and multiplier -k, k = (1 - u.v) / u.u
-            c = self._target_covariance(targets)
+            c = _covariance_over(self._unit, cdist(targets, self.scatter.coords)).T
             v = self._lower_solve(c)
             k = (1.0 - self._u @ v) / self._uu
             lam = self._lower_solve(v + k * self._u[:, None], trans="T")
@@ -592,35 +638,27 @@ class KrigingSystem:
     def predict_many(self, targets):
         """Predicted values and variances at an (m, 2) target array of finite
         coordinates (DataError otherwise)."""
-        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        if targets.ndim != 2 or targets.shape[1] != 2:
-            raise DataError(f"targets must be (m, 2), got {targets.shape}")
-        if not np.isfinite(targets).all():
-            raise DataError("non-finite target coordinate")
+        targets = _target_array(targets)
         if self.model.sill == 0:
             if self.scatter.values.any():
                 raise SingularSystemError(_ZERO_SILL, 0.0)
             return np.zeros(len(targets)), np.zeros(len(targets))
-        c0 = self._unit.sill
         if self.neighborhood is None:
-            c = self._target_covariance(targets)
-            values = self._mean + self._alpha @ c
-            v = self._lower_apply(c)
-            k = (1.0 - self._u @ v) / self._uu
-            unit_var = c0 - np.einsum("nm,nm->m", v, v) + k * k * self._uu
-        else:
-            idx, lam, mu, c = self._solve(targets)
-            values = np.einsum("mk,mk->m", lam,
-                               np.broadcast_to(self.scatter.values[idx], lam.shape))
-            unit_var = c0 - np.einsum("mk,mk->m", lam, c) - mu
-        variances = self.model.sill * unit_var
-        bad = unit_var < -1e-9
-        if bad.any():
-            raise PolishKrigeError(
-                f"negative kriging variance {variances[bad].min():.3e} "
-                "(inconsistent covariance model)"
-            )
-        return values, np.maximum(variances, 0.0)
+            return self._dual_predict(targets)
+        idx, lam, mu, c = self._solve(targets)
+        values = np.einsum("mk,mk->m", lam, np.broadcast_to(self.scatter.values[idx], lam.shape))
+        return values, self._variances(self._unit.sill - np.einsum("mk,mk->m", lam, c) - mu)
+
+
+def _target_array(targets):
+    """targets as an (m, 2) float array of finite coordinates, else
+    DataError."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if targets.ndim != 2 or targets.shape[1] != 2:
+        raise DataError(f"targets must be (m, 2), got {targets.shape}")
+    if not np.isfinite(targets).all():
+        raise DataError("non-finite target coordinate")
+    return targets
 
 
 def ok_solve(scatter, model, target, neighborhood=None):

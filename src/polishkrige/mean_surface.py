@@ -190,7 +190,13 @@ def biharmonic_eval_many(model, points):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != model.dimension:
         raise DataError(f"expected (M, {model.dimension}) points, got {points.shape}")
-    return _green_over(model.dimension, cdist(points, model.centers)) @ model.strengths
+    return _spline_over(model, cdist(points, model.centers))
+
+
+def _spline_over(model, r):
+    """The spline's values at the points whose (M, N) distances to its
+    centres are r, which is overwritten."""
+    return _green_over(model.dimension, r) @ model.strengths
 
 
 @dataclass(frozen=True)

@@ -132,3 +132,32 @@ def mp_ok_reference(coords, values, family, nugget, psill, rng_, target):
     c0 = mp.mpf(nugget) + mp.mpf(psill)
     var = c0 - mp.fsum(lam[i] * rhs[i] for i in range(n)) - mu
     return lam, mu, pred, var
+
+
+# --- extended-precision biharmonic spline oracle ------------------------------
+#
+# The 2-D Green function phi_2(r) = r^2 (ln r - 1), phi_2(0) = 0, re-stated in
+# mpmath; the interpolation system is solved by the same 50-digit elimination.
+# About 0.2 s at 56 centres; meant for n <= 60.
+
+
+def _mp_green2(r):
+    return mp.mpf(0) if r == 0 else r * r * (mp.log(r) - 1)
+
+
+def mp_spline(centers, values):
+    """The 2-D biharmonic spline through values at the (n, 2) centers,
+    solved at 50 digits, as a function of a location (x, y): floats are
+    taken as exact, and mpmath numbers may carry a location that no float
+    holds."""
+    if len(centers) > 60:
+        raise ValueError("the 50-digit spline oracle is meant for n <= 60")
+    pts = [(mp.mpf(x), mp.mpf(y)) for x, y in centers]
+    dist = lambda p, q: mp.sqrt((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
+    system = [[_mp_green2(dist(p, q)) for q in pts] for p in pts]
+    strengths = _mp_solve(system, [mp.mpf(v) for v in values])
+
+    def at(x, y):
+        here = (mp.mpf(x), mp.mpf(y))
+        return mp.fsum(s * _mp_green2(dist(here, q)) for s, q in zip(strengths, pts))
+    return at

@@ -1,23 +1,35 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 from scipy.spatial.distance import cdist
 
+from conftest import mp_spline
 from polishkrige import (
     BiharmonicModel,
     DataError,
     DuplicateLocationError,
     GreenSingularityError,
+    GridLattice,
+    GridTable,
     LinearMeanModel,
     SingularSystemError,
+    VariogramModel,
     biharmonic_fit,
     decompose,
+    fit,
     green_function,
+    predict_many,
 )
-from polishkrige.mean_surface import biharmonic_deletions, biharmonic_eval_many, linear_mean_many
+from polishkrige.mean_surface import (
+    _green_system,
+    biharmonic_deletions,
+    biharmonic_eval_many,
+    linear_mean_many,
+)
 
 
 class TestGreenFunction:
@@ -187,6 +199,50 @@ class TestBiharmonicFit:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * n * 8
+
+
+class TestSplineAgainstTheOracle:
+    """The impk spline on a 7 x 8 lattice of spacing 0.3, which is no power
+    of two, against conftest's 50-digit solve of its Green system: off the
+    centres, as biharmonic_eval_many and as the mean of a dense predict_many
+    call, and by deletion.  Each must be within eps / rcond max|w| of it,
+    with rcond the Green system's and w the spline's data (at most 0.05 of
+    that measured)."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(11)
+        grid = GridTable(GridLattice(0.3 * np.arange(8.0), 0.3 * np.arange(7.0)),
+                         rng.normal(size=(7, 8)) + np.sin(np.arange(8.0)))
+        model = fit(grid, "impk", variogram=VariogramModel("exponential", 0.1, 1.0, 0.9))
+        spline = model.mean_component
+        rows, cols = np.nonzero(grid.present_mask)
+        w = model.polish.row_effects[rows] + model.polish.col_effects[cols]
+        bound = np.finfo(float).eps / _green_system(spline.centers, 0.0)[1] * np.abs(w).max()
+        return model, w, bound
+
+    def test_off_the_centres(self, case):
+        model, w, bound = case
+        spline, spacing = model.mean_component, model.source_grid.lattice.spacing
+        oracle = mp_spline(spline.centers, w)
+        # 132 >= n targets, so predict_many takes the product with L^-1
+        tx, ty = np.meshgrid(0.3 * np.linspace(-0.5, 7.5, 12), 0.3 * np.linspace(-0.5, 6.5, 11))
+        points = np.column_stack([tx.ravel(), ty.ravel()])
+        want = np.array([float(oracle(mp.mpf(x) / spacing, mp.mpf(y) / spacing))
+                         for x, y in points])
+        np.testing.assert_allclose(biharmonic_eval_many(spline, points / spacing), want,
+                                   rtol=0, atol=bound)
+        values, _ = predict_many(model, points)
+        mean = values - model._system.predict_many(points)[0] - model.polish.overall
+        np.testing.assert_allclose(mean, want, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("cell", [0, 27])
+    def test_deletions(self, case, cell):
+        model, w, bound = case
+        centers = model.mean_component.centers
+        oracle = mp_spline(np.delete(centers, cell, axis=0), np.delete(w, cell))
+        got = biharmonic_deletions(centers)(cell, w)
+        assert got == pytest.approx(float(oracle(*centers[cell])), rel=0, abs=bound)
 
 
 class TestLinearMean:

@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 from dataclasses import replace
 
@@ -27,7 +28,9 @@ from polishkrige import (
     predict_many,
     rmse,
 )
+from polishkrige import kriging, mean_surface
 from polishkrige.kriging import (
+    KrigingSystem,
     _semivariogram_stack,
     _variogram_fit_stack,
     empirical_semivariogram,
@@ -412,15 +415,22 @@ class TestResidualEngine:
             tracemalloc.stop()
 
     def test_surface_memory_does_not_grow_with_grid(self, coal_ash_grid):
-        model = fit(coal_ash_grid, "impk")
-        assert self.peak(model, (300, 300)) < 1.5 * self.peak(model, (100, 100))
+        # what grows with the grid is 6 floats per target: the points, the
+        # meshgrid, and the values and variances; the chunk scratch besides
+        # them must not (1.3 MiB for mpk and 1.8 MiB for impk measured)
+        for method in ("mpk", "impk"):
+            model = fit(coal_ash_grid, method)
+            for resolution in ((100, 100), (300, 300)):
+                targets = resolution[0] * resolution[1]
+                assert self.peak(model, resolution) - 48 * targets < 2.5 * 2**20
 
     @pytest.mark.parametrize("method", ["mpk", "impk"])
     def test_global_scratch_is_bounded(self, coal_ash_grid, method):
-        # chunks of 5,041 targets for n = 208 take the L^-1 product, whose n x n
-        # inverse fits in the chunk's own n x m covariances (13.2 MiB measured)
+        # n = 208: one W = L^-1 per call and chunks of 315 targets, whose
+        # distance and spline buffers hold 2**16 floats each; the 90,000
+        # targets and their results hold 4.1 MiB (5.5 and 6.0 MiB measured)
         model = fit(coal_ash_grid, method)
-        assert self.peak(model, (300, 300)) < 2 * 2**20 * 8
+        assert self.peak(model, (300, 300)) < 2**20 * 8
 
     def test_wide_neighbourhood_memory_does_not_grow_with_grid(self, coal_ash_grid):
         # 100 of 208 neighbours: the stacked systems, not the scatter size,
@@ -473,6 +483,105 @@ class TestResidualEngine:
                                     15, None, dropped=np.arange(scatter.n))
         one = traced_peak(_variogram_fit_stack, emps, "spherical")
         assert traced_peak(_variogram_fit_stack, emps * 4, "spherical") < 1.25 * one
+
+
+def count_calls(monkeypatch):
+    """From here on, log every cdist call of kriging and mean_surface and
+    every LAPACK routine kriging takes from get_lapack_funcs, as (name,
+    length of the first argument)."""
+    log = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            log.append((name, len(args[0])))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (kriging, mean_surface):
+        name = module.__name__.rsplit(".", 1)[1] + ".cdist"
+        monkeypatch.setattr(module, "cdist", logged(name, module.cdist))
+    lapack = kriging.get_lapack_funcs
+    monkeypatch.setattr(kriging, "get_lapack_funcs", lambda names, arrays: tuple(
+        logged(name, f) for name, f in zip(names, lapack(names, arrays))))
+    return log
+
+
+class TestDensePath:
+    """The global predict_many: one distance pass per chunk serves the mean,
+    the values and the variances."""
+
+    @staticmethod
+    def targets(lattice, scale):
+        """1,000 targets over and just beyond the lattice: for n = 208, three
+        chunks of 315 and a partial fourth."""
+        gx, gy = np.meshgrid(
+            np.linspace(lattice.x_coords[0] - 0.7 * scale, lattice.x_coords[-1] + 0.4 * scale, 40),
+            np.linspace(lattice.y_coords[0] - 0.3 * scale, lattice.y_coords[-1] + 0.6 * scale, 25))
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    # at scale 0.3 the spacing is no power of two, so d / spacing rounds
+    # otherwise than the distances of points / spacing to the spline centres
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_matches_small_calls_and_mean_plus_residual(self, coal_ash_grid, scale, method,
+                                                        family):
+        lat = coal_ash_grid.lattice
+        grid = GridTable(GridLattice(lat.x_coords * scale, lat.y_coords * scale),
+                         coal_ash_grid.cells)
+        model = fit(grid, method, FitConfig(family=family))
+        points = self.targets(grid.lattice, scale)
+        n, sill = model.residual_scatter.n, model.variogram.sill
+        values, variances = predict_many(model, points)
+        solved = [predict_many(model, points[lo:lo + n - 1]) for lo in range(0, len(points), n - 1)]
+        resid, kriged = KrigingSystem(model.residual_scatter, model.variogram).predict_many(points)
+        bound = 10 * np.finfo(float).eps / model._system.rcond * sill
+        # the spline's terms are far larger than its value, so the summation
+        # order of a chunk moves an impk value by up to 7e-13 of it
+        for want_values, want_variances in ([np.concatenate(part) for part in zip(*solved)],
+                                            [model.mean_at(points) + resid, kriged]):
+            np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(variances, want_variances, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("bad", [np.zeros((400, 3)),
+                                     np.vstack([np.ones((399, 2)), [[np.nan, 1.0]]])],
+                             ids=["three-columns", "non-finite-last"])
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    def test_bad_targets_are_refused_before_any_chunk(self, coal_ash_grid, method, bad,
+                                                      monkeypatch):
+        model = fit(coal_ash_grid, method)
+        log = count_calls(monkeypatch)
+        with pytest.raises(DataError):
+            predict_many(model, bad)
+        assert log == []
+
+    def test_one_distance_pass_per_chunk_and_one_inverse_per_call(self, coal_ash_grid,
+                                                                 monkeypatch):
+        model = fit(coal_ash_grid, "impk")
+        log = count_calls(monkeypatch)
+        predict_grid(model, (400, 400))
+        n = model.residual_scatter.n
+        rows = 2**16 // n
+        assert collections.Counter(name for name, _ in log) == {
+            "kriging.cdist": -(-400 * 400 // rows), "trtri": 1}
+        assert {size for name, size in log if name == "kriging.cdist"} == {rows, 400 * 400 % rows}
+
+    def test_large_global_model_solves_in_full_size_chunks(self, monkeypatch):
+        # n = 1,056 sites: W would hold n^2 > 2**20 floats, so a call of
+        # 2,500 >= n targets solves with L, 2**20 // n targets at a time
+        rng = np.random.default_rng(4)
+        grid = GridTable(GridLattice(np.arange(33.0), np.arange(32.0)), rng.normal(size=(32, 33)))
+        model = fit(grid, "mpk", variogram=VariogramModel("exponential", 0.1, 1.0, 5.0))
+        points = rng.uniform(-1.0, 33.0, size=(2500, 2))
+        log = count_calls(monkeypatch)
+        values, variances = predict_many(model, points)
+        rows = 2**20 // model.residual_scatter.n
+        assert log == [("kriging.cdist", rows), ("kriging.cdist", rows),
+                       ("kriging.cdist", 2500 - 2 * rows)]
+        monkeypatch.undo()
+        small = [predict_many(model, points[lo:lo + 500]) for lo in range(0, 2500, 500)]
+        np.testing.assert_array_equal(values, np.concatenate([v for v, _ in small]))
+        np.testing.assert_array_equal(variances, np.concatenate([s for _, s in small]))
 
 
 class TestCrossValidate:
