@@ -13,17 +13,21 @@ weights at a target of covariances c are C^-1 c + k u and the multiplier is
 -k, k = (1 - u . c) / (1 . u).  Over all points this is dual kriging: one
 Cholesky factor C = L L^T gives the generalized-least-squares mean m and the
 dual weights alpha = C^-1 (z - m), so a value is m + alpha . c in O(n) per
-target and a variance needs v = L^-1 c.  A call works through its targets
-in chunks that reuse one buffer for their distances to the points (the
-surface predictors read their mean off the same distances).  A call of n or
-more targets, when n^2 <= 2**20, forms W = L^-1 once (LAPACK trtri) and
-multiplies each chunk by it (BLAS trmm), which runs at matrix-multiply speed
-and is accurate to about eps kappa(L) = eps sqrt(kappa(C)) (Higham 2002,
-ch. 8 and 14), in chunks of about 2**16 floats that stay in cache (Goto &
-van de Geijn 2008); any other call solves for v, in chunks of about 2**20
-floats.  Over the k nearest points (a KD-tree finds them), one inverse of
-each target's k x k C gives its weights, refined once against C, and its
-exact 1-norm condition.
+target and a variance needs v = L^-1 c.  Over the k nearest points (a
+KD-tree finds them), one inverse of each target's k x k C gives its weights,
+refined once against C, and its exact 1-norm condition.
+
+One loop, KrigingSystem.predict_many, predicts on every path in chunks and
+adds a caller's mean surface to each (the surface predictors pass theirs).
+A global call reuses one buffer for a chunk's distances to the points, which
+the mean may read too.  One of n or more targets, when n^2 <= 2**20, forms
+W = L^-1 once (LAPACK trtri) and multiplies each chunk by it (BLAS trmm),
+which runs at matrix-multiply speed and is accurate to about eps kappa(L) =
+eps sqrt(kappa(C)) (Higham 2002, ch. 8 and 14), in chunks of about 2**16
+floats that stay in cache (Goto & van de Geijn 2008); any other global call
+solves for v, in chunks of about 2**20 floats.  A k-nearest or zero-sill
+chunk holds about 2**20 floats over the larger need per target: its systems'
+scratch, or the n distances to the points that a mean may compute.
 """
 
 from __future__ import annotations
@@ -452,12 +456,10 @@ class KrigingSystem:
     call inverts the C of every target's k nearest points (np.hypot
     distance, ties within 1e-9 relative to the lower scatter index), raising
     SingularSystemError if any exact rcond is below RCOND_FLOOR or an inverse
-    does not exist.
-    target_floats bounds the float64 scratch per target of a k-nearest
-    predict call; on the global path it is n, the distances of a chunk that
-    solves, and a call sizes its own chunks (_chunking): W = L^-1 is formed
-    only for n^2 <= 2**20, so it never holds more than 2**20 floats.
-    A zero-sill model predicts zero only for zero values.
+    does not exist.  predict_many is the one predict loop of every path, and
+    sizes its own chunks (_chunking): W = L^-1 is formed only for
+    n^2 <= 2**20, so it never holds more than 2**20 floats.  A zero-sill
+    model predicts zero only for zero values.
     """
 
     def __init__(self, scatter, model, neighborhood=None):
@@ -467,15 +469,6 @@ class KrigingSystem:
         self.scatter = scatter
         self.model = model
         self.neighborhood = None if neighborhood is None or neighborhood >= n else neighborhood
-        # global: the target covariances, which v = L^-1 c overwrites;
-        # neighbourhood: about six arrays over the 2k candidates (tree distances
-        # and indices, coordinate differences, np.hypot, the partition, the tie
-        # count), then three k x k arrays (the x and y differences, later the
-        # covariance, its inverse and the inverse's absolute values).  Only a
-        # target with k + 1 or more points at its k-th distance, to rounding,
-        # is retried with more.
-        self.target_floats = (12 * self.neighborhood + 3 * self.neighborhood ** 2
-                              if self.neighborhood else n)
         self.rcond = None
         if model.sill == 0:
             return
@@ -499,47 +492,22 @@ class KrigingSystem:
                                 overwrite_b=overwrite, check_finite=False)
 
     def _chunking(self, m):
-        """(targets per chunk, whether to multiply by W = L^-1) of a global
-        predict call of m targets: W when m >= n and n^2 <= 2**20, with about
-        2**16 floats of distances per chunk; otherwise 2**20."""
-        n = self.scatter.n
+        """(targets per chunk, whether to multiply by W = L^-1) of a predict
+        call of m targets.  Global: W when m >= n and n^2 <= 2**20, with
+        about 2**16 floats of distances per chunk; otherwise 2**20.  k nearest
+        or zero sill: about 2**20 floats over the larger need per target, the
+        n distances to the sites a mean may compute or the neighbourhood
+        scratch: about six arrays over the 2k candidates (tree distances and
+        indices, coordinate differences, np.hypot, the partition, the tie
+        count), then three k x k arrays (the x and y differences, later the
+        covariance, its inverse and the inverse's absolute values).  Only a
+        target with k + 1 or more points at its k-th distance, to rounding,
+        is retried with more."""
+        n, k = self.scatter.n, self.neighborhood or 0
+        if self.rcond is None:
+            return max(1, min(m, 2**20 // max(n, 12 * k + 3 * k * k))), False
         dense = n <= m and n * n <= 2**20
         return max(1, min(m, (2**16 if dense else 2**20) // n)), dense
-
-    def _dual_predict(self, targets, mean=None):
-        """Values and variances of the global path at (m, 2) checked
-        targets, chunk by chunk (_chunking), through one distance buffer
-        that every chunk reuses: cdist fills it, the covariance overwrites
-        it, and v = L^-1 c overwrites that, by a product with W, formed once
-        per call, or else by a triangular solve.
-
-        mean(points, d), when given, is a mean surface at a chunk of points
-        from d, their distances to the sites, which it may read but not
-        write; it runs before the covariance overwrites d, and its values
-        are added to the kriged ones."""
-        n, m = self.scatter.n, len(targets)
-        rows, dense = self._chunking(m)
-        if dense:
-            trtri, = get_lapack_funcs(("trtri",), (self._chol,))
-            w, info = trtri(self._chol, lower=1)
-            if info != 0:
-                raise SingularSystemError("kriging covariance factor is singular", condition=0.0)
-            trmm, = get_blas_funcs(("trmm",), (w,))
-        buffer = np.empty((rows, n))
-        values, variances = np.empty(m), np.empty(m)
-        for lo in range(0, m, rows):
-            points = targets[lo:lo + rows]
-            d = cdist(points, self.scatter.coords, out=buffer[:len(points)])
-            base = None if mean is None else mean(points, d)
-            c = _covariance_over(self._unit, d).T
-            resid = self._mean + self._alpha @ c
-            values[lo:lo + rows] = resid if base is None else base + resid
-            v = (trmm(1.0, w, c, lower=1, overwrite_b=1) if dense
-                 else self._lower_solve(c, overwrite=True))
-            k = (1.0 - self._u @ v) / self._uu
-            variances[lo:lo + rows] = self._variances(
-                self._unit.sill - np.einsum("nm,nm->m", v, v) + k * k * self._uu)
-        return values, variances
 
     def _variances(self, unit_var):
         """Variances from the unit-sill unit_var, which is overwritten,
@@ -635,19 +603,54 @@ class KrigingSystem:
         k = np.einsum("mi,mi->m", lam, np.einsum("mij,mj->mi", cov, lam) - c)
         return idx, lam, -k, c
 
-    def predict_many(self, targets):
+    def predict_many(self, targets, mean=None):
         """Predicted values and variances at an (m, 2) target array of finite
-        coordinates (DataError otherwise)."""
+        coordinates (DataError otherwise, before any is predicted), chunk by
+        chunk (_chunking).  A global chunk goes through one distance buffer
+        that every chunk reuses: cdist fills it, the covariance overwrites
+        it, and v = L^-1 c overwrites that, by a product with W, formed once
+        per call, or else by a triangular solve.  A k-nearest chunk is one
+        stack of its targets' systems (_solve).
+
+        mean(points, d), when given, is a mean surface at a chunk of points,
+        whose values are added to the kriged ones.  On the global path d is
+        their distances to the sites, which it may read but not write, before
+        the covariance overwrites them; otherwise d is None."""
         targets = _target_array(targets)
-        if self.model.sill == 0:
-            if self.scatter.values.any():
-                raise SingularSystemError(_ZERO_SILL, 0.0)
-            return np.zeros(len(targets)), np.zeros(len(targets))
-        if self.neighborhood is None:
-            return self._dual_predict(targets)
-        idx, lam, mu, c = self._solve(targets)
-        values = np.einsum("mk,mk->m", lam, np.broadcast_to(self.scatter.values[idx], lam.shape))
-        return values, self._variances(self._unit.sill - np.einsum("mk,mk->m", lam, c) - mu)
+        if self.model.sill == 0 and self.scatter.values.any():
+            raise SingularSystemError(_ZERO_SILL, 0.0)
+        n, m = self.scatter.n, len(targets)
+        rows, dense = self._chunking(m)
+        if dense:
+            trtri, = get_lapack_funcs(("trtri",), (self._chol,))
+            w, info = trtri(self._chol, lower=1)
+            if info != 0:
+                raise SingularSystemError("kriging covariance factor is singular", condition=0.0)
+            trmm, = get_blas_funcs(("trmm",), (w,))
+        buffer = None if self.rcond is None else np.empty((rows, n))
+        values, variances = np.empty(m), np.empty(m)
+        for lo in range(0, m, rows):
+            points = targets[lo:lo + rows]
+            d = None if buffer is None else cdist(points, self.scatter.coords,
+                                                  out=buffer[:len(points)])
+            base = None if mean is None else mean(points, d)
+            if d is not None:
+                c = _covariance_over(self._unit, d).T
+                resid = self._mean + self._alpha @ c
+                v = (trmm(1.0, w, c, lower=1, overwrite_b=1) if dense
+                     else self._lower_solve(c, overwrite=True))
+                k = (1.0 - self._u @ v) / self._uu
+                unit_var = self._unit.sill - np.einsum("nm,nm->m", v, v) + k * k * self._uu
+            elif self.model.sill == 0:
+                resid, unit_var = 0.0, np.zeros(len(points))
+            else:
+                idx, lam, mu, c = self._solve(points)
+                resid = np.einsum("mk,mk->m", lam,
+                                  np.broadcast_to(self.scatter.values[idx], lam.shape))
+                unit_var = self._unit.sill - np.einsum("mk,mk->m", lam, c) - mu
+            values[lo:lo + rows] = resid if base is None else base + resid
+            variances[lo:lo + rows] = self._variances(unit_var)
+        return values, variances
 
 
 def _target_array(targets):

@@ -22,7 +22,6 @@ from .kriging import (
     KrigingPrediction,
     KrigingSystem,
     _semivariogram_stack,
-    _target_array,
     _variogram_fit_stack,
     empirical_semivariogram,
     fit_variogram,
@@ -156,45 +155,24 @@ def _spline_frame(grid):
 
 def predict_many(model, points):
     """Values and variances at an (M, 2) array of finite target locations
-    (DataError otherwise, before any is predicted), in chunks whose scratch
-    does not grow with the number of targets.  On the global path each
-    chunk's distances to the residual sites serve both the kriging
-    (KrigingSystem._dual_predict) and the mean, since the impk spline's
-    centres are those sites in lattice units.  Otherwise (k nearest, or a
-    zero sill) each chunk of about 2**20 floats of scratch is kriged, then
-    its mean evaluated: a chunk is sized by the larger need per target, the
-    kriging scratch (KrigingSystem.target_floats) or, for impk, the spline's
-    distance to each of its centres."""
-    points = _target_array(points)
-    system = model._system
-    if system.neighborhood is None and system.model.sill > 0:
-        return system._dual_predict(points, _mean_from_distances(model, len(points)))
-    values = np.empty(len(points))
-    variances = np.empty(len(points))
-    per_target = system.target_floats
-    if model.method == "impk":
-        per_target = max(per_target, len(model.mean_component.centers))
-    step = max(1, 2**20 // per_target)
-    for lo in range(0, len(points), step):
-        chunk = points[lo:lo + step]
-        resid, variances[lo:lo + step] = system.predict_many(chunk)
-        values[lo:lo + step] = model.mean_at(chunk) + resid
-    return values, variances
+    (DataError otherwise, before any is predicted): one
+    KrigingSystem.predict_many call, which adds the mean surface to each
+    chunk of kriged residuals.  Where a chunk comes with its distances to the
+    residual sites (the global path), the impk spline reads them, since its
+    centres are those sites in lattice units, through one buffer of the
+    first and widest chunk's size, held for the call; otherwise it is
+    mean_at."""
+    spacing, scratch = model.source_grid.lattice.spacing, None
 
-
-def _mean_from_distances(model, m):
-    """The mean surface as KrigingSystem._dual_predict's mean(points, d) for
-    a call of m targets.  The impk spline is evaluated on d / spacing in one
-    buffer of a chunk's size, held for the call."""
-    if model.method == "mpk":
-        return lambda points, d: linear_mean_many(model.mean_component, points)
-    spacing = model.source_grid.lattice.spacing
-    scratch = np.empty((model._system._chunking(m)[0], len(model.mean_component.centers)))
-
-    def mean(points, d):
+    def mean(chunk, d):
+        nonlocal scratch
+        if d is None or model.method == "mpk":
+            return model.mean_at(chunk)
+        if scratch is None:
+            scratch = np.empty_like(d)
         r = np.divide(d, spacing, out=scratch[:len(d)])
         return model.polish.overall + _spline_over(model.mean_component, r)
-    return mean
+    return model._system.predict_many(points, mean)
 
 
 def predict(model, s):

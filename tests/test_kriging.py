@@ -21,6 +21,7 @@ from polishkrige import (
     fit_variogram,
     ok_predict,
     ok_solve,
+    predict_many,
     semivariance,
 )
 from polishkrige.numerics import cholesky_checked
@@ -389,6 +390,14 @@ class TestOrdinaryKriging:
         flat = ScatterSet(scatter.coords, np.zeros(6))
         pred = ok_predict(flat, model, Location2D(1.0, 1.0))
         assert (pred.value, pred.variance) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("k", [None, 16], ids=["global", "k=16"])
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    def test_no_targets_give_empty_results(self, coal_ash_grid, method, k):
+        model = fit(coal_ash_grid, method, FitConfig(neighborhood=k))
+        for values, variances in (model._system.predict_many(np.empty((0, 2))),
+                                  predict_many(model, np.empty((0, 2)))):
+            assert values.shape == variances.shape == (0,)
 
     def test_variance_never_negative(self, rng):
         scatter = random_scatter(rng, 10)

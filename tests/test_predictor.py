@@ -459,10 +459,28 @@ class TestResidualEngine:
         assert peak < 2 * 2**20 * 8
 
     def test_wide_neighbourhood_mpk_scratch_is_bounded(self, coal_ash_grid):
-        # 100 neighbours and no spline: KrigingSystem.target_floats alone sizes
-        # the chunks, so it must count every k x k array the systems hold
+        # 100 neighbours and no spline: the systems' scratch per target in
+        # KrigingSystem._chunking alone sizes the chunks, so it must count
+        # every k x k array the systems hold
         model = fit(coal_ash_grid, "mpk", FitConfig(neighborhood=100))
         assert self.peak(model, (60, 60)) < 2 * 2**20 * 8
+
+    def test_direct_neighbourhood_call_scratch_is_bounded(self, coal_ash_grid):
+        # k = 16 over n = 208: a direct KrigingSystem call, with no mean,
+        # chunks its 30,000 targets as predict_many does, 2**20 // (12 k +
+        # 3 k^2) at a time (8.3 MB measured)
+        system = fit(coal_ash_grid, "mpk", FitConfig(neighborhood=16))._system
+        lat = coal_ash_grid.lattice
+        points = np.random.default_rng(6).uniform(
+            [lat.x_coords[0], lat.y_coords[0]], [lat.x_coords[-1], lat.y_coords[-1]],
+            size=(30000, 2))
+        tracemalloc.start()
+        try:
+            system.predict_many(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20 * 8
 
     def test_cross_validation_memory_is_bounded(self, coal_ash_grid):
         # the 208 coal-ash folds are polished as one stack and their
@@ -507,8 +525,9 @@ def count_calls(monkeypatch):
 
 
 class TestDensePath:
-    """The global predict_many: one distance pass per chunk serves the mean,
-    the values and the variances."""
+    """The one predict loop, KrigingSystem.predict_many: on the global path
+    one distance pass per chunk serves the mean, the values and the
+    variances; on every path a call equals calls of its chunks."""
 
     @staticmethod
     def targets(lattice, scale):
@@ -585,6 +604,33 @@ class TestDensePath:
         small = [predict_many(model, points[lo:lo + rows]) for lo in range(0, 2500, rows)]
         np.testing.assert_array_equal(values, np.concatenate([v for v, _ in small]))
         np.testing.assert_array_equal(variances, np.concatenate([s for _, s in small]))
+
+    def test_neighbourhood_call_solves_in_full_size_chunks(self, coal_ash_grid, monkeypatch):
+        # k = 16 over n = 208: a chunk holds 2**20 // (12 k + 3 k^2) targets,
+        # solved as one stack of systems
+        system = fit(coal_ash_grid, "mpk", FitConfig(neighborhood=16))._system
+        points = self.targets(coal_ash_grid.lattice, 1.0)[np.arange(2500) % 1000]
+        stacks, solve = [], KrigingSystem._solve
+        monkeypatch.setattr(KrigingSystem, "_solve",
+                            lambda self, targets: stacks.append(len(targets)) or solve(self, targets))
+        values, variances = system.predict_many(points)
+        rows = 2**20 // (12 * 16 + 3 * 16**2)
+        assert stacks == [rows, rows, 2500 - 2 * rows]
+        monkeypatch.undo()
+        small = [system.predict_many(points[lo:lo + rows]) for lo in range(0, 2500, rows)]
+        np.testing.assert_array_equal(values, np.concatenate([v for v, _ in small]))
+        np.testing.assert_array_equal(variances, np.concatenate([s for _, s in small]))
+
+    @pytest.mark.parametrize("k", [None, 16], ids=["global", "k=16"])
+    def test_surface_is_one_engine_call(self, coal_ash_grid, k, monkeypatch):
+        # KrigingSystem.predict_many is the one predict loop: a surface hands
+        # it every target at once, with the mean
+        model = fit(coal_ash_grid, "impk", FitConfig(neighborhood=k))
+        calls, engine = [], KrigingSystem.predict_many
+        monkeypatch.setattr(KrigingSystem, "predict_many", lambda self, targets, mean=None: (
+            calls.append((len(targets), mean is not None)) or engine(self, targets, mean)))
+        predict_grid(model, (60, 70))
+        assert calls == [(60 * 70, True)]
 
 
 class TestCrossValidate:
