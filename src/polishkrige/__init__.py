@@ -5,7 +5,6 @@ biharmonic-spline (IMPK) interpolation of the trend between grid nodes."""
 from .errors import (
     DataError,
     DuplicateLocationError,
-    GreenSingularityError,
     GridStructureError,
     ModelFormatError,
     PolishKrigeError,

@@ -45,12 +45,6 @@ class SingularSystemError(PolishKrigeError):
         self.condition = condition
 
 
-class GreenSingularityError(PolishKrigeError):
-    """A Green function was evaluated at a pole (r = 0 in dimension >= 4)."""
-
-    category = "singular-green"
-
-
 class ModelFormatError(PolishKrigeError):
     """A serialized model file is unreadable or has the wrong version/shape."""
 

@@ -4,7 +4,9 @@ Two ways to extend the fitted node means off the lattice: a piecewise-linear
 scheme that interpolates the row and column effect vectors independently
 (extending the boundary pair linearly outside the grid), and a biharmonic
 Green-function spline fitted through the node means less the overall level,
-which bends smoothly instead of creasing along grid lines.
+which bends smoothly instead of creasing along grid lines.  The spline is
+two-dimensional, like the method: Sandwell's (1987) interpolation with the
+planar Green function phi_2 = r^2 (ln r - 1) on (N, 2) centres.
 """
 
 from __future__ import annotations
@@ -15,65 +17,48 @@ import numpy as np
 from scipy.linalg import lu_solve
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, DuplicateLocationError, GreenSingularityError, SingularSystemError
+from .errors import DataError, DuplicateLocationError, SingularSystemError
 from .median_polish import MedianPolishFit
 from .numerics import RCOND_FLOOR, factor_checked, row_blocks
 from .spatial_core import GridLattice, _closest_pair_within, _frozen, axis_cells
 
 
 def green_function(m, r):
-    """Fundamental solution phi_m of the biharmonic operator in dimension m.
-
-    phi_1 = r^3, phi_2 = r^2 (ln r - 1), phi_3 = r, phi_4 = ln r,
-    phi_5 = 1/r, phi_6 = 1/r^2.  The origin value is the continuous limit 0
-    for m <= 3; for m >= 4 the function is unbounded there and r = 0 raises
-    GreenSingularityError.  Accepts scalar or array r (elementwise).
+    """Fundamental solution phi_m of the biharmonic operator in dimension
+    m = 1..3: phi_1 = r^3, phi_2 = r^2 (ln r - 1), phi_3 = r, each with the
+    continuous limit 0 at r = 0.  The spline uses phi_2.  Accepts scalar or
+    array r (elementwise).
     """
-    if m not in (1, 2, 3, 4, 5, 6):
-        raise DataError(f"green function dimension must be 1..6, got {m}")
+    if m not in (1, 2, 3):
+        raise DataError(f"green function dimension must be 1..3, got {m}")
     r = np.array(r, dtype=np.float64)
     if np.any(r < 0):
         raise DataError("negative distance")
-    g = _green_over(m, r)
+    g = r**3 if m == 1 else _green_over(r) if m == 2 else r
     return g if g.ndim else float(g)
 
 
-def _green_over(m, r):
-    """green_function(m, r) for a float array of distances r >= 0 that this
-    module computed itself: r is overwritten and returned, with temporaries
-    only of one block of rows (numerics.row_blocks) for m = 2 and none
-    otherwise."""
-    if m >= 4 and not r.all():
-        raise GreenSingularityError(f"green function m={m} is unbounded at r=0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 1:
-            np.power(r, 3, out=r)
-        elif m == 2:
-            for block in row_blocks(r):
-                r2 = block * block
-                # r = 0 is raised to the smallest normal float so that its log
-                # is finite; its r2 stays 0, giving the limit 0
-                np.maximum(block, np.finfo(np.float64).tiny, out=block)
-                np.log(block, out=block)
-                block -= 1.0
-                block *= r2
-        elif m == 4:
-            np.log(r, out=r)
-        elif m == 5:
-            np.divide(1.0, r, out=r)
-        elif m == 6:
-            np.multiply(r, r, out=r)
-            np.divide(1.0, r, out=r)
+def _green_over(r):
+    """phi_2 = r^2 (ln r - 1) for a float array of distances r >= 0 that
+    this module computed itself: r is overwritten and returned, with
+    temporaries only of one block of rows (numerics.row_blocks)."""
+    for block in row_blocks(r):
+        r2 = block * block
+        # r = 0 is raised to the smallest normal float so that its log is
+        # finite; its r2 stays 0, giving the limit 0
+        np.maximum(block, np.finfo(np.float64).tiny, out=block)
+        np.log(block, out=block)
+        block -= 1.0
+        block *= r2
     return r
 
 
 @dataclass(frozen=True)
 class BiharmonicModel:
-    """A Green-function spline w(s) = sum_j strengths[j] phi_m(|s - c_j|).
+    """A Green-function spline w(s) = sum_j strengths[j] phi_2(|s - c_j|).
 
-    centers is (N, d) with pairwise-distinct rows, and the Green function is
-    that of their dimension d (1..6); regularization records the ridge term
-    used at fit time.
+    centers is (N, 2) with pairwise-distinct rows; regularization records
+    the ridge term used at fit time.
     """
 
     centers: np.ndarray
@@ -81,14 +66,12 @@ class BiharmonicModel:
     regularization: float = 0.0
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
-        if centers.ndim != 2 or centers.shape[0] < 1:
-            raise DataError(f"centers must be (N, d), got {centers.shape}")
+        centers = np.asarray(self.centers, dtype=np.float64)
+        if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) < 1:
+            raise DataError(f"centers must be (N, 2) with N >= 1, got {centers.shape}")
         strengths = np.asarray(self.strengths, dtype=np.float64).ravel()
         if len(strengths) != centers.shape[0]:
             raise DataError("one strength per center required")
-        if centers.shape[1] not in (1, 2, 3, 4, 5, 6):
-            raise DataError(f"dimension must be 1..6, got {centers.shape[1]}")
         if not np.all(np.isfinite(centers)):
             raise DataError("non-finite center")
         if not np.all(np.isfinite(strengths)):
@@ -98,10 +81,6 @@ class BiharmonicModel:
         _reject_duplicate_rows(centers)
         object.__setattr__(self, "centers", _frozen(centers))
         object.__setattr__(self, "strengths", _frozen(strengths))
-
-    @property
-    def dimension(self):
-        return self.centers.shape[1]
 
 
 def _reject_duplicate_rows(centers):
@@ -113,14 +92,14 @@ def _reject_duplicate_rows(centers):
 def biharmonic_fit(centers, values, regularization=0.0):
     """Fit spline strengths through values at centers.
 
-    Solves (G + eps I) alpha = values with G_ij = phi_m(|c_i - c_j|).  With
+    Solves (G + eps I) alpha = values with G_ij = phi_2(|c_i - c_j|).  With
     regularization 0 the spline interpolates the values exactly.  All-zero
     values short-circuit to the zero spline (no solve, so a lone center with
     value 0 is fine while a lone nonzero center raises SingularSystemError,
     its 1x1 system being 0 * alpha = w).
 
     Args:
-        centers: (N,) for 1-D or (N, d) array, pairwise distinct.
+        centers: (N, 2) array, pairwise distinct.
         values: N reals.
         regularization: finite ridge term eps >= 0 added to the diagonal.
 
@@ -128,11 +107,9 @@ def biharmonic_fit(centers, values, regularization=0.0):
         DuplicateLocationError, SingularSystemError, DataError.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim == 1:
-        centers = centers[:, None]
     values = np.asarray(values, dtype=np.float64).ravel()
-    if centers.ndim != 2 or centers.shape[0] != len(values):
-        raise DataError("centers and values disagree in length")
+    if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) != len(values):
+        raise DataError(f"centers must be ({len(values)}, 2), got {centers.shape}")
     if not np.all(np.isfinite(values)):
         raise DataError("non-finite value")
 
@@ -148,20 +125,19 @@ def biharmonic_fit(centers, values, regularization=0.0):
 
 
 def _green_system(centers, regularization):
-    """numerics.factor_checked of G + eps I, G_ij = phi_m(|c_i - c_j|) with m
-    the centres' dimension: (lu_piv, rcond, 1-norm).  G is built,
-    regularized and LU-factored over one n x n array.  DataError unless eps
-    is finite and >= 0."""
+    """numerics.factor_checked of G + eps I, G_ij = phi_2(|c_i - c_j|):
+    (lu_piv, rcond, 1-norm).  G is built, regularized and LU-factored over
+    one n x n array.  DataError unless eps is finite and >= 0."""
     if not 0 <= regularization < np.inf:
         raise DataError("regularization must be finite and nonnegative")
-    g = _green_over(centers.shape[1], cdist(centers, centers))
+    g = _green_over(cdist(centers, centers))
     if regularization:
         g.flat[::len(g) + 1] += regularization
     return factor_checked(g, "green-function system")
 
 
 def biharmonic_deletions(centers, regularization=0.0):
-    """deletion(i, w): the value at centers[i] of the 2-D spline through w at
+    """deletion(i, w): the value at centers[i] of the spline through w at
     every other centre, by Dubrule's (1983) identity -H[i, ~i] . w[~i] / H[i, i]
     with H the inverse of the full G + eps I, in O(N).  The reduced spline is
     fitted instead (raising what biharmonic_fit raises) if G + eps I is
@@ -185,18 +161,17 @@ def biharmonic_deletions(centers, regularization=0.0):
 
 
 def biharmonic_eval_many(model, points):
-    """Spline values at an (M, d) array of locations, d the centres'
-    dimension (DataError otherwise)."""
+    """Spline values at an (M, 2) array of locations (DataError otherwise)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.ndim != 2 or points.shape[1] != model.dimension:
-        raise DataError(f"expected (M, {model.dimension}) points, got {points.shape}")
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise DataError(f"expected (M, 2) points, got {points.shape}")
     return _spline_over(model, cdist(points, model.centers))
 
 
 def _spline_over(model, r):
     """The spline's values at the points whose (M, N) distances to its
     centres are r, which is overwritten."""
-    return _green_over(model.dimension, r) @ model.strengths
+    return _green_over(r) @ model.strengths
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from polishkrige import (
     predict_many,
     semivariance,
 )
-from polishkrige.numerics import cholesky_checked
+from polishkrige.numerics import RCOND_FLOOR, cholesky_checked
 
 
 class TestEmpiricalVariogram:
@@ -516,6 +516,42 @@ class TestDualKriging:
             assert 0.0 < info.value.condition < 1e-14
         else:
             assert info.value.condition == condition
+
+
+class TestRcondFloor:
+    """Just below RCOND_FLOOR a kriging system raises SingularSystemError,
+    never a number; just above it, it predicts finite values.  The range of
+    a zero-nugget gaussian of sill 1 takes the system's rcond across the
+    floor, within a factor 3 either side: on a 7 x 8 unit lattice for the
+    global path, and on a 5 x 5 one for k = 16, where the target (1.5, 1.5)
+    selects the 4 x 4 block of nodes at the origin."""
+
+    @staticmethod
+    def lattice(p, q):
+        gx, gy = np.meshgrid(np.arange(float(q)), np.arange(float(p)))
+        return ScatterSet(np.column_stack([gx.ravel(), gy.ravel()]),
+                          np.random.default_rng(11).normal(size=p * q))
+
+    @pytest.mark.parametrize("neighborhood, range_, above", [
+        (None, 7.0, True), (None, 7.3, False), (16, 21.5, True), (16, 23.5, False),
+    ], ids=["global-above", "global-below", "k16-above", "k16-below"])
+    def test_singular_below_and_finite_above(self, neighborhood, range_, above):
+        scatter = self.lattice(7, 8) if neighborhood is None else self.lattice(5, 5)
+        model = VariogramModel("gaussian", 0.0, 1.0, range_)
+        targets = np.array([[1.5, 1.5]])
+        if not above:
+            with pytest.raises(SingularSystemError) as info:
+                KrigingSystem(scatter, model, neighborhood).predict_many(targets)
+            assert RCOND_FLOOR / 3 < info.value.condition < RCOND_FLOOR
+            return
+        system = KrigingSystem(scatter, model, neighborhood)
+        if neighborhood is None:
+            rcond = system.rcond
+        else:
+            block = scatter.coords[(scatter.coords < 4).all(axis=1)]
+            rcond = 1 / np.linalg.cond(covariance(model, cdist(block, block)), 1)
+        assert RCOND_FLOOR <= rcond < 3 * RCOND_FLOOR
+        assert np.isfinite(system.predict_many(targets)).all()
 
 
 class TestNearestSelection:

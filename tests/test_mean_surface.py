@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,6 @@ from polishkrige import (
     BiharmonicModel,
     DataError,
     DuplicateLocationError,
-    GreenSingularityError,
     GridLattice,
     GridTable,
     LinearMeanModel,
@@ -30,6 +30,7 @@ from polishkrige.mean_surface import (
     biharmonic_eval_many,
     linear_mean_many,
 )
+from polishkrige.numerics import RCOND_FLOOR
 
 
 class TestGreenFunction:
@@ -50,20 +51,10 @@ class TestGreenFunction:
         assert green_function(1, r) == pytest.approx(r**3, rel=1e-15)
         assert green_function(2, r) == pytest.approx(r * r * (math.log(r) - 1), rel=1e-15)
         assert green_function(3, r) == pytest.approx(r, rel=1e-15)
-        assert green_function(4, r) == pytest.approx(math.log(r), rel=1e-15)
-        assert green_function(5, r) == pytest.approx(1 / r, rel=1e-15)
-        assert green_function(6, r) == pytest.approx(1 / r**2, rel=1e-15)
 
     def test_origin_limit_for_bounded_forms(self):
         for m in (1, 2, 3):
             assert green_function(m, 0.0) == 0.0
-
-    @pytest.mark.parametrize("m", [4, 5, 6])
-    def test_origin_raises_for_unbounded_forms(self, m):
-        with pytest.raises(GreenSingularityError):
-            green_function(m, 0.0)
-        with pytest.raises(GreenSingularityError):
-            green_function(m, np.array([1.0, 0.0, 2.0]))
 
     def test_surface_form_minimum_at_sqrt_e(self):
         # d/dr of r^2 (ln r - 1) vanishes at r = e^(1/2), value -e/2
@@ -83,19 +74,13 @@ class TestGreenFunction:
         with pytest.raises(DataError):
             green_function(1, -0.1)
 
-    @pytest.mark.parametrize("m", [0, 7, 2.5])
+    @pytest.mark.parametrize("m", [0, 4, 7, 2.5])
     def test_unknown_form_rejected(self, m):
         with pytest.raises(DataError):
             green_function(m, 1.0)
 
 
 class TestBiharmonicFit:
-    def test_one_dimensional_two_point_strengths(self):
-        # G = [[0, 1], [1, 0]] for phi_1 = r^3, so values (0, 1) need (1, 0)
-        model = biharmonic_fit([0.0, 1.0], [0.0, 1.0])
-        assert model.dimension == 1
-        np.testing.assert_allclose(model.strengths, [1.0, 0.0], atol=1e-14)
-
     def test_interpolates_exactly_in_2d(self, rng):
         coords = rng.uniform(0, 10, size=(40, 2))
         values = rng.normal(size=40)
@@ -154,20 +139,22 @@ class TestBiharmonicFit:
         with pytest.raises(DataError):
             build(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), regularization)
 
-    def test_dimension_override(self, rng):
-        # the Green function follows the centres' dimension: phi_3 = r in 3-D
-        coords = rng.uniform(0, 10, size=(10, 3))
-        values = rng.normal(size=10)
-        model = biharmonic_fit(coords, values)
-        assert model.dimension == 3
-        np.testing.assert_allclose(cdist(coords, coords) @ model.strengths, values, atol=1e-9)
-        got = biharmonic_eval_many(model, coords)
-        np.testing.assert_allclose(got, values, atol=1e-9)
-
-    def test_scalar_queries_in_1d(self):
-        model = biharmonic_fit([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])
-        v = biharmonic_eval_many(model, np.array([[1.0]]))[0]
-        assert v == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("call", [
+        lambda: biharmonic_fit([0.0, 1.0, 3.0], [1.0, 2.0, 4.0]),
+        lambda: biharmonic_fit([[0.0], [1.0], [3.0]], [1.0, 2.0, 4.0]),
+        lambda: biharmonic_fit(np.eye(3), [1.0, 2.0, 4.0]),
+        # a 1-D array of two coordinates is no single centre
+        lambda: BiharmonicModel([0.0, 1.0], [1.0]),
+        lambda: BiharmonicModel([[0.0], [1.0], [3.0]], [1.0, -2.0, 1.0]),
+        lambda: BiharmonicModel(np.eye(3), [1.0, -2.0, 1.0]),
+        # the points are checked before the model is read: here a stand-in
+        # for a model of 3-D centres, with the dimension such models had
+        lambda: biharmonic_eval_many(
+            SimpleNamespace(centers=np.eye(3), strengths=np.ones(3), dimension=3), np.eye(3)),
+    ], ids=["fit-1d", "fit-n1", "fit-n3", "model-1d", "model-n1", "model-n3", "eval-m3"])
+    def test_centres_and_points_are_planar(self, call):
+        with pytest.raises(DataError):
+            call()
 
     def test_query_dimension_mismatch_rejected(self):
         model = biharmonic_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), [1.0, 2.0])
@@ -184,6 +171,24 @@ class TestBiharmonicFit:
         want = lu_solve(lu_factor(g), values)
         got = biharmonic_fit(coords, values, regularization).strengths
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("delta, above", [(1.5e-6, True), (7e-7, False)],
+                             ids=["above", "below"])
+    def test_green_system_across_the_floor(self, delta, above):
+        # a 7 x 8 unit lattice and one more centre delta from its origin: the
+        # Green system's rcond falls with delta, and these two take it across
+        # RCOND_FLOOR within a factor 3 either side
+        ys, xs = np.mgrid[0:7, 0:8].astype(np.float64)
+        centers = np.vstack([np.column_stack([xs.ravel(), ys.ravel()]), [[delta, 0.0]]])
+        values = np.random.default_rng(11).normal(size=57)
+        if not above:
+            with pytest.raises(SingularSystemError) as info:
+                biharmonic_fit(centers, values)
+            assert RCOND_FLOOR / 3 < info.value.condition < RCOND_FLOOR
+            return
+        assert RCOND_FLOOR <= _green_system(centers, 0.0)[1] < 3 * RCOND_FLOOR
+        spline = biharmonic_fit(centers, values)
+        assert np.isfinite(biharmonic_eval_many(spline, centers + 0.5)).all()
 
     def test_fit_holds_one_green_matrix(self):
         # the n x n Green matrix is built, regularized and factored in place:

@@ -1,9 +1,9 @@
 """The README's Python API example runs: once as written, predicting at a
 `Location2D`, and once in the plain `(x, y)` pair form the README names.
 `PAPER.md` once carried the pair form; it now holds only the paper's title
-and abstract, and no code.  The package's public names are pinned, each
-name the README's Python API section documents is exported, and the Model
-files section names every model-file section."""
+and abstract, and no code.  The package's public names and its error
+categories are pinned, each name the README's Python API section documents
+is exported, and the Model files section names every model-file section."""
 
 import pathlib
 import re
@@ -53,7 +53,7 @@ def test_paper_example_runs(monkeypatch, capsys):
 # changes this list.
 PUBLIC = {
     "BiharmonicModel", "CvRecord", "CvReport", "DataError", "DuplicateLocationError",
-    "EmpiricalVariogram", "FitConfig", "GreenSingularityError", "GridLattice",
+    "EmpiricalVariogram", "FitConfig", "GridLattice",
     "GridStructureError", "GridTable", "KrigingPrediction", "KrigingSystem", "KrigingWeights",
     "LinearMeanModel", "Location2D", "MedianPolishFit", "ModelFormatError", "PolishKrigeError",
     "PredictionGrid", "ScatterSet", "SingularSystemError", "SkippedFold", "SurfaceModel",
@@ -61,6 +61,15 @@ PUBLIC = {
     "empirical_semivariogram", "fit", "fit_variogram", "green_function", "load_model",
     "load_observations_csv", "loocv", "ok_predict", "ok_solve", "predict", "predict_grid",
     "predict_many", "residuals_as_scatter", "rmse", "save_model", "semivariance", "to_grid",
+}
+
+# The category slug of each exported error class, the first token of the
+# CLI's error line: adding, dropping or renaming one is a decision that
+# changes this table.
+CATEGORIES = {
+    "PolishKrigeError": "error", "DataError": "bad-input",
+    "DuplicateLocationError": "duplicate-location", "GridStructureError": "invalid-grid",
+    "SingularSystemError": "singular-system", "ModelFormatError": "bad-model",
 }
 
 # The names the README's Python API section documents.
@@ -76,6 +85,12 @@ def test_public_names_are_pinned():
     exported = {name for name, value in vars(polishkrige).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC
+
+
+def test_error_categories_are_pinned():
+    exported = {name: value.category for name, value in vars(polishkrige).items()
+                if isinstance(value, type) and issubclass(value, polishkrige.PolishKrigeError)}
+    assert exported == CATEGORIES
 
 
 def test_readme_api_names_resolve():
