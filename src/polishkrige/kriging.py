@@ -15,7 +15,10 @@ Cholesky factor C = L L^T gives the generalized-least-squares mean m and the
 dual weights alpha = C^-1 (z - m), so a value is m + alpha . c in O(n) per
 target and a variance needs v = L^-1 c.  Over the k nearest points (a
 KD-tree finds them), one inverse of each target's k x k C gives its weights,
-refined once against C, and its exact 1-norm condition.
+refined once against C, and its exact 1-norm condition.  That KD-tree is the
+package's one use of scipy.spatial, imported only by a k-nearest system; the
+global path's distances and the variogram's pair distances come from
+numerics.distances, which does the arithmetic of scipy's cdist and pdist.
 
 One loop, KrigingSystem.predict_many, predicts on every path in chunks and
 adds a caller's mean surface to each (the surface predictors pass theirs).
@@ -36,11 +39,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import DataError, PolishKrigeError, SingularSystemError
-from .numerics import checked_rcond, cholesky_checked, row_blocks
+from .numerics import checked_rcond, cholesky_checked, distances, row_blocks
 from .spatial_core import _frozen
 
 FAMILIES = ("spherical", "exponential", "gaussian")
@@ -161,7 +162,7 @@ def _semivariogram_stack(coords, values, n_bins, max_lag, dropped=None):
     if n_bins < 1:
         return [DataError("n_bins must be at least 1")] * len(values)
 
-    d = pdist(coords)
+    d = distances(coords)
     if max_lag is not None:
         lags = [max_lag] * len(values)
     else:
@@ -184,7 +185,7 @@ def _semivariogram_stack(coords, values, n_bins, max_lag, dropped=None):
         if not n_pairs.any():
             out.append(DataError(f"no point pair within max_lag {lag:g}"))
             continue
-        sq = pdist(z[:, None], metric="sqeuclidean")
+        sq = distances(z[:, None], squared=True)
         sq[pairs] = 0.0
         sums = np.bincount(idx, weights=sq, minlength=n_bins + 1)[:n_bins]
         retained = n_pairs > 0
@@ -195,7 +196,8 @@ def _semivariogram_stack(coords, values, n_bins, max_lag, dropped=None):
 
 
 def _pairs_with(n, k):
-    """Positions in pdist's condensed order of the n - 1 pairs of point k."""
+    """Positions in condensed order (numerics.distances) of the n - 1 pairs
+    of point k."""
     i = np.arange(k)
     start = k * (2 * n - k - 1) // 2
     return np.concatenate([i * (2 * n - i - 1) // 2 + k - i - 1,
@@ -475,11 +477,13 @@ class KrigingSystem:
         self._unit = replace(model, nugget=model.nugget / model.sill,
                              partial_sill=model.partial_sill / model.sill)
         if self.neighborhood is not None:
+            # imported here, so that a global-path process never loads scipy.spatial
+            from scipy.spatial import cKDTree
             self._tree = cKDTree(scatter.coords)
             return
         xy = scatter.coords
         self._chol, self.rcond = cholesky_checked(
-            _covariance_over(self._unit, cdist(xy, xy)), "kriging covariance matrix")
+            _covariance_over(self._unit, distances(xy, xy)), "kriging covariance matrix")
         self._u = self._lower_solve(np.ones(n))
         self._uu = float(self._u @ self._u)
         w = self._lower_solve(scatter.values)
@@ -571,7 +575,7 @@ class KrigingSystem:
         if self.neighborhood is None:
             # weights C^-1 (c + k 1) = L^-T (v + k u) with v = L^-1 c, here
             # u = L^-1 1, and multiplier -k, k = (1 - u.v) / u.u
-            c = _covariance_over(self._unit, cdist(targets, self.scatter.coords)).T
+            c = _covariance_over(self._unit, distances(targets, self.scatter.coords)).T
             v = self._lower_solve(c)
             k = (1.0 - self._u @ v) / self._uu
             lam = self._lower_solve(v + k * self._u[:, None], trans="T")
@@ -607,7 +611,7 @@ class KrigingSystem:
         """Predicted values and variances at an (m, 2) target array of finite
         coordinates (DataError otherwise, before any is predicted), chunk by
         chunk (_chunking).  A global chunk goes through one distance buffer
-        that every chunk reuses: cdist fills it, the covariance overwrites
+        that every chunk reuses: distances fills it, the covariance overwrites
         it, and v = L^-1 c overwrites that, by a product with W, formed once
         per call, or else by a triangular solve.  A k-nearest chunk is one
         stack of its targets' systems (_solve).
@@ -631,8 +635,8 @@ class KrigingSystem:
         values, variances = np.empty(m), np.empty(m)
         for lo in range(0, m, rows):
             points = targets[lo:lo + rows]
-            d = None if buffer is None else cdist(points, self.scatter.coords,
-                                                  out=buffer[:len(points)])
+            d = None if buffer is None else distances(points, self.scatter.coords,
+                                                      out=buffer[:len(points)])
             base = None if mean is None else mean(points, d)
             if d is not None:
                 c = _covariance_over(self._unit, d).T

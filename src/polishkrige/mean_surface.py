@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_solve
-from scipy.spatial.distance import cdist
 
 from .errors import DataError, DuplicateLocationError, SingularSystemError
 from .median_polish import MedianPolishFit
-from .numerics import RCOND_FLOOR, factor_checked, row_blocks
+from .numerics import RCOND_FLOOR, distances, factor_checked, row_blocks
 from .spatial_core import GridLattice, _closest_pair_within, _frozen, axis_cells
 
 
@@ -99,7 +98,7 @@ def biharmonic_fit(centers, values, regularization=0.0):
     its 1x1 system being 0 * alpha = w).
 
     Args:
-        centers: (N, 2) array, pairwise distinct.
+        centers: (N, 2) array of finite, pairwise-distinct rows.
         values: N reals.
         regularization: finite ridge term eps >= 0 added to the diagonal.
 
@@ -112,6 +111,8 @@ def biharmonic_fit(centers, values, regularization=0.0):
         raise DataError(f"centers must be ({len(values)}, 2), got {centers.shape}")
     if not np.all(np.isfinite(values)):
         raise DataError("non-finite value")
+    if not np.all(np.isfinite(centers)):
+        raise DataError("non-finite center")
 
     _reject_duplicate_rows(centers)
 
@@ -130,7 +131,7 @@ def _green_system(centers, regularization):
     one n x n array.  DataError unless eps is finite and >= 0."""
     if not 0 <= regularization < np.inf:
         raise DataError("regularization must be finite and nonnegative")
-    g = _green_over(cdist(centers, centers))
+    g = _green_over(distances(centers, centers))
     if regularization:
         g.flat[::len(g) + 1] += regularization
     return factor_checked(g, "green-function system")
@@ -165,7 +166,7 @@ def biharmonic_eval_many(model, points):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != 2:
         raise DataError(f"expected (M, 2) points, got {points.shape}")
-    return _spline_over(model, cdist(points, model.centers))
+    return _spline_over(model, distances(points, model.centers))
 
 
 def _spline_over(model, r):

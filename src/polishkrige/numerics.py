@@ -26,6 +26,56 @@ def row_blocks(a):
         yield a[lo:lo + step]
 
 
+def distances(a, b=None, out=None, squared=False):
+    """Euclidean distances between the rows of an (m, k) array a and an
+    (n, k) array b as an (m, n) array, written to out when given; with b
+    None, those of a's pairs i < j as an n(n - 1)/2 array in condensed order
+    ((0, 1), (0, 2), ..., (1, 2), ...).
+
+    Each is the square root of the squared coordinate differences added in
+    column order, sqrt(dx*dx + dy*dy) in the plane, which is bit for bit
+    scipy's cdist and pdist; squared=True leaves out the square root (their
+    "sqeuclidean").  Works in blocks of about 2**16 results, so that its
+    temporaries stay in cache.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64).T.copy()
+        out = np.empty((len(a), b.shape[1])) if out is None else out
+        lo = 0
+        for block in row_blocks(out):
+            rows = a[lo:lo + len(block)]
+            lo += len(block)
+            _sum_squares(block, ((u[:, None], v) for u, v in zip(rows.T, b)), squared)
+        return out
+    n, a = len(a), a.T.copy()
+    out = np.empty(n * (n - 1) // 2)
+    lo = start = 0
+    while lo < n - 1:
+        hi = min(n - 1, lo + max(1, 2**16 // (n - lo)))
+        # the block's pairs are (i, j) for its rows i and j = i + 1 .. n - 1
+        counts = np.arange(n - 1 - lo, n - 1 - hi, -1)
+        j = np.repeat(np.arange(lo + 1, hi + 1) - np.cumsum(counts) + counts, counts)
+        j += np.arange(len(j))
+        _sum_squares(out[start:start + len(j)],
+                     ((np.repeat(c[lo:hi], counts), c[j]) for c in a), squared)
+        lo, start = hi, start + len(j)
+    return out
+
+
+def _sum_squares(out, terms, squared):
+    """out = the sum of (u - v)**2 over the (u, v) of an iterator of terms,
+    in order, or its square root unless squared."""
+    u, v = next(terms)
+    np.subtract(u, v, out=out)
+    out *= out
+    for u, v in terms:
+        t = u - v
+        t *= t
+        out += t
+    return out if squared else np.sqrt(out, out=out)
+
+
 def symmetric_norm1(a):
     """The 1-norm of a symmetric matrix: its largest absolute row sum, taken
     by blocks of rows so that |a| is never held whole."""

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError, DuplicateLocationError, GridStructureError
 
@@ -92,13 +91,48 @@ def _snap_tolerance(coords):
 
 
 def _closest_pair_within(coords, tol):
-    if coords.shape[0] < 2:
+    """The least (i, j), i < j, of two rows of an (n, 2) array at most tol
+    apart (np.hypot distance), or None, found by sorting.
+
+    A pair within tol is within tol on each axis, so it lies in one run of
+    the points sorted by x whose gaps are at most tol, and is at most tol
+    apart in y there.  Sorted by run, then y, then x, equal points are
+    adjacent, and each distinct location is measured only against the later
+    ones in its run up to tol higher in y: beyond the O(n log n) sorts, the
+    work grows with those near pairs of locations, not with the copies of
+    one.  The least pair is (i, j) with i the least index that has a
+    partner (a partner below i would be less) and j the least partner of i.
+    """
+    if len(coords) < 2:
         return None
-    pairs = cKDTree(coords).query_pairs(r=tol, output_type="ndarray")
-    if len(pairs) == 0:
+    x, y = coords[:, 0], coords[:, 1]
+    order = np.argsort(x, kind="stable")
+    run = np.concatenate([[0], np.cumsum(np.diff(x[order]) > tol)])
+    sort = np.lexsort((x[order], y[order], run))
+    order, run = order[sort], run[sort]
+    xs, ys = x[order], y[order]
+    if not ((run[1:] == run[:-1]) & (ys[1:] - ys[:-1] <= tol)).any():
         return None
-    i, j = min((tuple(sorted(p)) for p in pairs))
-    return int(i), int(j)
+    # the distinct locations, at their first copies; one held twice is close
+    loc = np.flatnonzero(np.concatenate([[True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])]))
+    copies = np.diff(loc, append=len(order))
+    close = copies > 1
+    # each location against the one `step` later
+    first = np.arange(len(loc))
+    for step in range(1, len(loc)):
+        first = first[first + step < len(loc)]
+        a, b = loc[first], loc[first + step]
+        near = (run[a] == run[b]) & (ys[b] - ys[a] <= tol)
+        first, a, b = first[near], a[near], b[near]
+        if not len(first):
+            break
+        hit = first[np.hypot(xs[b] - xs[a], ys[b] - ys[a]) <= tol]
+        close[hit] = close[hit + step] = True
+    if not close.any():
+        return None
+    i = order[np.repeat(close, copies)].min()
+    partners = np.flatnonzero(np.hypot(x - x[i], y - y[i]) <= tol)
+    return int(i), int(partners[partners > i][0])
 
 
 @dataclass(frozen=True)

@@ -464,11 +464,7 @@ def test_loading_and_predicting_never_import_the_optimizer(csv_path, tmp_path):
         "assert 'scipy.optimize' not in sys.modules",
         f"assert main(['cv', {str(csv_path)!r}]) == 0",
     ])
-    src = str(pathlib.Path(polishkrige.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1].startswith("RMSE,MPK,")
+    assert run_child(code).splitlines()[-1].startswith("RMSE,MPK,")
 
 
 def test_fitting_and_cross_validating_never_import_the_optimizer(csv_path, tmp_path):
@@ -485,8 +481,38 @@ def test_fitting_and_cross_validating_never_import_the_optimizer(csv_path, tmp_p
         f"'--out', {str(tmp_path / 'cv.csv')!r}]) == 0",
         "assert 'scipy.optimize' not in sys.modules",
     ])
+    assert run_child(code).splitlines()[-1].startswith("IMPK,")
+
+
+def test_only_the_neighbourhood_path_imports_scipy_spatial(csv_path, tmp_path):
+    # the KD-tree is scipy.spatial's one use; a global-path process skips it
+    global_model, knn_model = tmp_path / "global.model", tmp_path / "knn.model"
+    code = "\n".join([
+        "import sys",
+        "import polishkrige",
+        "from polishkrige.cli import main",
+        "def spatial():",
+        "    return sorted(name for name in sys.modules if name.startswith('scipy.spatial'))",
+        "assert spatial() == [], spatial()",
+        f"assert main(['fit', {str(csv_path)!r}, '--method', 'impk', "
+        f"'--out', {str(global_model)!r}]) == 0",
+        f"model = polishkrige.load_model({str(global_model)!r})",
+        "polishkrige.predict(model, (1.5, 2.5))",
+        f"assert main(['cv', {str(csv_path)!r}, '--both', "
+        f"'--out', {str(tmp_path / 'cv.csv')!r}]) == 0",
+        "assert spatial() == [], spatial()",
+        f"assert main(['fit', {str(csv_path)!r}, '--neighborhood', '16', "
+        f"'--out', {str(knn_model)!r}]) == 0",
+        f"assert polishkrige.load_model({str(knn_model)!r})._system.neighborhood == 16",
+        "assert 'scipy.spatial' in spatial(), spatial()",
+    ])
+    run_child(code)
+
+
+def run_child(code):
+    """Run python -c code on this checkout's package; its stdout."""
     src = str(pathlib.Path(polishkrige.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1].startswith("IMPK,")
+    return done.stdout

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ class TestEmpiricalVariogram:
             np.testing.assert_array_equal(got.pair_counts, base.pair_counts)
             np.testing.assert_array_equal(got.gamma, base.gamma)
 
+
+    def test_large_scatter_holds_only_its_distances_and_bins(self):
+        # 3,240 sites: the condensed pair distances (8 bytes a pair), their
+        # bins (8) and an edge mask (1), plus scratch of a few blocks of
+        # about 2**16 floats; a pair index array would add 16 bytes a pair
+        ys, xs = np.mgrid[0:54, 0:60].astype(float)
+        scatter = ScatterSet(np.column_stack([xs.ravel(), ys.ravel()]),
+                             np.sin(xs.ravel() / 4) * np.cos(ys.ravel() / 5))
+        pairs = scatter.n * (scatter.n - 1) // 2
+        tracemalloc.start()
+        try:
+            empirical_semivariogram(scatter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * pairs + 16 * 2**16 * 8
 
 class TestVariogramModel:
     model = VariogramModel("spherical", 0.1, 0.9, 2.0)

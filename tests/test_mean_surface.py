@@ -156,6 +156,13 @@ class TestBiharmonicFit:
         with pytest.raises(DataError):
             call()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_non_finite_centre_rejected(self, bad, value):
+        # a typed error, whether or not the values need a solve
+        with pytest.raises(DataError):
+            biharmonic_fit([[0.0, 0.0], [1.0, bad], [2.0, 1.0]], [value, 0.0, 0.0])
+
     def test_query_dimension_mismatch_rejected(self):
         model = biharmonic_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), [1.0, 2.0])
         with pytest.raises(DataError):

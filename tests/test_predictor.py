@@ -504,7 +504,7 @@ class TestResidualEngine:
 
 
 def count_calls(monkeypatch):
-    """From here on, log every cdist call of kriging and mean_surface and
+    """From here on, log every distances call of kriging and mean_surface and
     every LAPACK routine kriging takes from get_lapack_funcs, as (name,
     length of the first argument)."""
     log = []
@@ -516,8 +516,8 @@ def count_calls(monkeypatch):
         return wrapper
 
     for module in (kriging, mean_surface):
-        name = module.__name__.rsplit(".", 1)[1] + ".cdist"
-        monkeypatch.setattr(module, "cdist", logged(name, module.cdist))
+        name = module.__name__.rsplit(".", 1)[1] + ".distances"
+        monkeypatch.setattr(module, "distances", logged(name, module.distances))
     lapack = kriging.get_lapack_funcs
     monkeypatch.setattr(kriging, "get_lapack_funcs", lambda names, arrays: tuple(
         logged(name, f) for name, f in zip(names, lapack(names, arrays))))
@@ -582,8 +582,9 @@ class TestDensePath:
         n = model.residual_scatter.n
         rows = 2**16 // n
         assert collections.Counter(name for name, _ in log) == {
-            "kriging.cdist": -(-400 * 400 // rows), "trtri": 1}
-        assert {size for name, size in log if name == "kriging.cdist"} == {rows, 400 * 400 % rows}
+            "kriging.distances": -(-400 * 400 // rows), "trtri": 1}
+        assert ({size for name, size in log if name == "kriging.distances"}
+                == {rows, 400 * 400 % rows})
 
     def test_large_global_model_solves_in_full_size_chunks(self, monkeypatch):
         # n = 1,056 sites: W would hold n^2 > 2**20 floats, so a call of
@@ -595,8 +596,8 @@ class TestDensePath:
         log = count_calls(monkeypatch)
         values, variances = predict_many(model, points)
         rows = 2**20 // model.residual_scatter.n
-        assert log == [("kriging.cdist", rows), ("kriging.cdist", rows),
-                       ("kriging.cdist", 2500 - 2 * rows)]
+        assert log == [("kriging.distances", rows), ("kriging.distances", rows),
+                       ("kriging.distances", 2500 - 2 * rows)]
         monkeypatch.undo()
         # each call of one chunk's targets solves that chunk alone; calls of
         # other widths may differ in the last bits, as a threaded BLAS splits

@@ -1,5 +1,9 @@
+import time
+import timeit
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from polishkrige import (
     DataError,
@@ -12,7 +16,7 @@ from polishkrige import (
     load_observations_csv,
     to_grid,
 )
-from polishkrige.spatial_core import axis_cells
+from polishkrige.spatial_core import _closest_pair_within, _snap_tolerance, axis_cells
 
 
 class TestLocationAndObservation:
@@ -72,6 +76,113 @@ class TestScatterSet:
         c = ScatterSet([(0.0, 0.0), (1.0, 0.0)], [1.0, 2.5])
         assert a == b
         assert a != c
+
+
+
+def kd_tree_pair(coords, tol):
+    """The reference: every pair within tol from a KD-tree, then the least."""
+    pairs = cKDTree(coords).query_pairs(r=tol, output_type="ndarray")
+    return min((tuple(int(v) for v in sorted(p)) for p in pairs), default=None)
+
+
+class TestClosestPair:
+    """The sort-based duplicate check finds the pair a KD-tree would."""
+
+    @staticmethod
+    def check(coords, tol):
+        want = kd_tree_pair(coords, tol)
+        assert _closest_pair_within(coords, tol) == want
+        return want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_planted_pairs_just_inside_and_outside(self, seed):
+        rng = np.random.default_rng([seed, 7])
+        n, tol = int(rng.integers(10, 400)), 1e-3
+        coords = rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.integers(-1, 3)
+        angles = [0.0, np.pi / 4, np.pi / 2, rng.uniform(0, 2 * np.pi), -np.pi / 3]
+        for k, (i, j) in enumerate(rng.choice(n, (5, 2), replace=False)):
+            # alternately just inside and just outside tol
+            r = tol * (1 - 1e-6 if k % 2 == seed % 2 else 1 + 1e-6)
+            coords[j] = coords[i] + r * np.array([np.cos(angles[k]), np.sin(angles[k])])
+            self.check(coords, tol)
+        assert self.check(coords, tol) is not None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_duplicates(self, seed):
+        rng = np.random.default_rng([seed, 8])
+        coords = rng.normal(size=(int(rng.integers(3, 300)), 2))
+        for _ in range(int(rng.integers(1, 4))):
+            copies = rng.choice(len(coords), int(rng.integers(2, 4)), replace=False)
+            coords[copies] = coords[copies[0]]
+            assert self.check(coords, _snap_tolerance(coords)) is not None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_tolerance_on_lattice_units(self, seed):
+        # the spline centres: present nodes in lattice units, checked at tol 0
+        rng = np.random.default_rng([seed, 9])
+        ys, xs = np.mgrid[0:13, 0:16]
+        coords = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+        coords = coords[rng.permutation(len(coords))[:int(rng.integers(2, 208))]]
+        assert self.check(coords, 0.0) is None
+        coords[rng.integers(len(coords))] += 1e-12  # near is not equal at tol 0
+        assert self.check(coords, 0.0) is None
+        i, j = rng.choice(len(coords), 2, replace=False)
+        coords[j] = coords[i]
+        assert self.check(coords, 0.0) == (min(i, j), max(i, j))
+
+    @pytest.mark.parametrize("step", [0.6, 0.7, 0.71, 0.72, 0.9, 1.0 + 1e-6])
+    @pytest.mark.parametrize("slope", [1.0, -1.0, 0.5])
+    def test_diagonal_chains(self, step, slope):
+        # every gap is within tol on each axis, so one run holds the chain;
+        # neighbours are within tol only for step * hypot(1, slope) <= 1
+        tol = 1e-3
+        k = np.arange(500.0)[np.random.default_rng(3).permutation(500)]
+        coords = np.column_stack([k, slope * k]) * (step * tol)
+        self.check(coords, tol)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_clouds(self, seed):
+        # many locations per run, so partners are rarely neighbours in y
+        rng = np.random.default_rng([seed, 10])
+        tol = 1e-3
+        coords = rng.uniform(0.0, 12 * tol, size=(int(rng.integers(20, 300)), 2))
+        coords[:, 0] += rng.integers(0, 3, size=len(coords)) * 0.5
+        assert self.check(coords, tol) is not None
+
+    def test_partner_beyond_a_location_between_them_in_y(self):
+        # one x run, sorted by y: (0, 0), then (5t, 0.5t), then its partner
+        # (0, 0.9t); points from x = 0.9t to 4.5t, far apart above, chain the run
+        t = 1e-3
+        chain = [(0.9 * k * t, 100 * k * t) for k in range(1, 6)]
+        coords = np.array([(5 * t, 0.5 * t), *chain, (0.0, 0.9 * t), (0.0, 0.0)])
+        assert self.check(coords, t) == (6, 7)
+
+    def test_points_exactly_tol_apart_are_a_pair(self):
+        tol = 2.0**-10  # lattice coordinates and their differences are exact
+        ys, xs = np.mgrid[0:5, 0:4] * tol
+        coords = np.column_stack([xs.ravel(), ys.ravel()])[::-1]
+        assert self.check(coords, tol) == (0, 1)
+        assert self.check(coords, tol * (1 - 1e-12)) is None
+
+    def test_many_copies_of_two_locations_are_found_fast(self):
+        coords = np.tile([[0.0, 0.0], [3.0, 4.0]], (50_000, 1))
+        start = time.perf_counter()
+        with pytest.raises(DuplicateLocationError) as info:
+            ScatterSet(coords, np.zeros(len(coords)))
+        assert time.perf_counter() - start < 2.0
+        assert info.value.pair == (0, 2)
+
+    def test_no_slower_than_the_kd_tree_on_a_survey_lattice(self):
+        # every cv fold checks its 207 residual sites
+        ys, xs = np.mgrid[0:13, 0:16]
+        coords = np.column_stack([xs.ravel(), ys.ravel()])[:207] * 2.5
+        tol = _snap_tolerance(coords)
+        assert self.check(coords, tol) is None
+
+        # best of interleaved rounds, so that a busy spell slows both sides
+        rounds = [[timeit.timeit(lambda: call(coords, tol), number=100)
+                   for call in (_closest_pair_within, kd_tree_pair)] for _ in range(9)]
+        assert min(new for new, _ in rounds) < min(old for _, old in rounds)
 
 
 class TestGridLattice:
