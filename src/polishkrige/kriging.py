@@ -45,6 +45,8 @@ from .numerics import checked_rcond, cholesky_checked, distances, row_blocks
 from .spatial_core import _frozen
 
 FAMILIES = ("spherical", "exponential", "gaussian")
+# ranges per level of fit_variogram's nested grid search
+_LEVEL_SIZE = 17
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,9 @@ class EmpiricalVariogram:
     """Binned method-of-moments semivariance estimates.
 
     Bins with no pairs are dropped, so the three arrays have equal length
-    with pair_counts >= 1 everywhere; max_lag is the binning cutoff.
+    with pair_counts >= 1 everywhere; max_lag is the binning cutoff.  Any
+    of these broken, or a lag or gamma that is not finite, a gamma < 0 or a
+    max_lag outside (0, inf), is a DataError.
     """
 
     lag_centers: np.ndarray
@@ -66,6 +70,13 @@ class EmpiricalVariogram:
         counts = np.ascontiguousarray(self.pair_counts, dtype=np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "pair_counts", counts)
+        lags, gamma = self.lag_centers, self.gamma
+        if not len(lags) == len(gamma) == len(counts):
+            raise DataError("lag centers, gamma and pair counts differ in length")
+        if not (np.isfinite(lags).all() and np.isfinite(gamma).all() and (gamma >= 0).all()
+                and (counts >= 1).all() and 0 < self.max_lag < np.inf):
+            raise DataError("variogram estimates need finite lags, finite gamma >= 0, "
+                            "pair counts >= 1 and 0 < max_lag < inf")
 
     @property
     def n_bins(self):
@@ -90,6 +101,8 @@ class VariogramModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DataError(f"unknown variogram family {self.family!r}")
+        if not np.isfinite((self.nugget, self.partial_sill, self.range)).all():
+            raise DataError("nugget, partial sill and range must be finite")
         if not (self.nugget >= 0 and self.partial_sill >= 0):
             raise DataError("nugget and partial sill must be nonnegative")
         if not self.range > 0:
@@ -190,8 +203,11 @@ def _semivariogram_stack(coords, values, n_bins, max_lag, dropped=None):
         sums = np.bincount(idx, weights=sq, minlength=n_bins + 1)[:n_bins]
         retained = n_pairs > 0
         centers = (np.flatnonzero(retained) + 0.5) * (lag / n_bins)
-        out.append(EmpiricalVariogram(centers, sums[retained] / (2.0 * n_pairs[retained]),
-                                      n_pairs[retained], float(lag)))
+        try:  # squared differences that overflow give gamma inf
+            out.append(EmpiricalVariogram(centers, sums[retained] / (2.0 * n_pairs[retained]),
+                                          n_pairs[retained], float(lag)))
+        except DataError as exc:
+            out.append(exc)
     return out
 
 
@@ -281,14 +297,13 @@ def fit_variogram(emp, family="spherical"):
     over nugget and partial sill in [0, 2 max gamma_hat] and range in
     [1e-3 max_lag, max_lag].  At a fixed range it is a convex quadratic in
     (nugget, partial sill), minimized exactly over that box; the profile over
-    range is searched on a 64-point grid, then around the best grid point by
-    this module's bounded Brent search (_bounded_brent, the Forsythe-Malcolm-
-    Moler fminbound) to an absolute tolerance of 1e-10 max_lag.  SSEs within
-    1e-9 relative count as tied, so that rounding on a flat profile does not
-    pick the range: the largest tied grid range wins, and Brent's point must
-    beat it by more than that.  The fit is deterministic and equivariant
-    under value and coordinate scaling.  This is the one-variogram case of
-    _variogram_fit_stack.
+    range is searched by nested grids: 64 ranges, then 17 at a time over the
+    two spacings around the best so far, to an absolute tolerance of 1e-10
+    max_lag.  SSEs within 1e-9 relative count as tied, so that rounding on a
+    flat profile does not pick the range: the largest tied range of the 64
+    wins, and the refined one must beat it by more than that.  The fit is
+    deterministic and equivariant under value and coordinate scaling.  This
+    is the one-variogram case of _variogram_fit_stack.
 
     All-zero estimates short-circuit to the degenerate zero model (zero
     sill); any other fit has a positive sill.  Raises DataError for an
@@ -304,8 +319,8 @@ def _variogram_fit_stack(emps, family):
     """fit_variogram of each EmpiricalVariogram in emps at once, as a list of
     VariogramModels and, where a fit fails or emps holds a DataError, that
     DataError.  Variograms with equal bin counts are fitted as one stack, in
-    blocks of at most 2**15 floats per (folds, 64, bins) array: one pass
-    over the range grid, then one lockstep Brent search."""
+    blocks of at most 2**15 floats per (folds, 64, bins) array, each level
+    of the nested range grids one pass over its block."""
     if family not in FAMILIES:
         raise DataError(f"unknown variogram family {family!r}")
     out, stacks = list(emps), {}
@@ -330,7 +345,8 @@ def _variogram_fit_stack(emps, family):
 def _fit_block(emps, family):
     """(nugget, partial sill, range) rows of fit_variogram for variograms
     with equal bin counts.  Every weighted sum is one matrix product per
-    variogram, so each row is what a block of one gives."""
+    variogram, and each variogram's bracket stops narrowing on its own
+    spacing, so each row is what a block of one gives."""
     lags = np.array([emp.lag_centers for emp in emps])
     g = np.array([emp.gamma for emp in emps])
     w = np.array([emp.pair_counts for emp in emps], dtype=np.float64)
@@ -340,106 +356,50 @@ def _fit_block(emps, family):
     m_g = (w[:, None, :] @ g[:, :, None])[:, 0]
     w_col, wg_col = w[:, :, None], (w * g)[:, :, None]
 
-    def profile(ranges, at=slice(None)):
-        """Least weighted SSE with its (nugget, psill) at each range of the
-        (B', K) ranges of variograms at: the box optimum is the interior
-        stationary point or an edge optimum, and clipping makes every
-        candidate feasible."""
-        s = 1.0 - _correlation_over(family, lags[at, None, :] / ranges[:, :, None])
+    def profile(ranges):
+        """Least weighted SSE with its (nugget, psill) at each of the (B, K)
+        ranges: the box optimum is the interior stationary point or an edge
+        optimum, and clipping makes every candidate feasible."""
+        s = 1.0 - _correlation_over(family, lags[:, None, :] / ranges[:, :, None])
         m_s, m_ss, m_gs = ((x @ col)[..., 0] for x, col in
-                           ((s, w_col[at]), (s * s, w_col[at]), (s, wg_col[at])))
-        mw, mg, full = m_w[at], m_g[at], top[at]
-        det = mw * m_ss - m_s * m_s
+                           ((s, w_col), (s * s, w_col), (s, wg_col)))
+        det = m_w * m_ss - m_s * m_s
         zero = np.zeros_like(m_s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nuggets = [(mg * m_ss - m_s * m_gs) / det, zero, zero + full,
-                       zero + mg / mw, (mg - full * m_s) / mw]
-            psills = [(mw * m_gs - m_s * mg) / det, m_gs / m_ss,
-                      (m_gs - full * m_s) / m_ss, zero, zero + full]
-        nug = np.fmax(np.minimum(nuggets, full), 0.0)
-        psill = np.fmax(np.minimum(psills, full), 0.0)
+            nuggets = [(m_g * m_ss - m_s * m_gs) / det, zero, zero + top,
+                       zero + m_g / m_w, (m_g - top * m_s) / m_w]
+            psills = [(m_w * m_gs - m_s * m_g) / det, m_gs / m_ss,
+                      (m_gs - top * m_s) / m_ss, zero, zero + top]
+        nug = np.fmax(np.minimum(nuggets, top), 0.0)
+        psill = np.fmax(np.minimum(psills, top), 0.0)
         sse = np.empty_like(nug)
         for c in range(len(sse)):
-            resid = g[at, None, :] - nug[c][..., None] - psill[c][..., None] * s
-            sse[c] = ((resid * resid) @ w_col[at])[..., 0]
+            resid = g[:, None, :] - nug[c][..., None] - psill[c][..., None] * s
+            sse[c] = ((resid * resid) @ w_col)[..., 0]
         best = np.argmin(sse, axis=0)
         return tuple(np.choose(best, x) for x in (sse, nug, psill))
 
+    def bracket(ranges, i):
+        """Each row's range at i, at i - 1 and at i + 1 (at i past an end),
+        and its spacing."""
+        at = [ranges[rows, np.clip(i + d, 0, ranges.shape[1] - 1)] for d in (0, -1, 1)]
+        return *at, ranges[:, 1] - ranges[:, 0]
+
+    rows = np.arange(len(emps))
     ranges = np.linspace(1e-3 * max_lag, max_lag, 64, axis=1)
     sse = profile(ranges)[0]
     tied = sse <= sse.min(axis=1, keepdims=True) * (1 + 1e-9)
-    i = ranges.shape[1] - 1 - np.argmax(tied[:, ::-1], axis=1)
-    rows = np.arange(len(emps))
-    refined = _bounded_brent(lambda r, at: profile(r[:, None], at)[0][:, 0],
-                             ranges[rows, np.maximum(i - 1, 0)],
-                             ranges[rows, np.minimum(i + 1, ranges.shape[1] - 1)],
-                             1e-10 * max_lag)
-    ranges = np.column_stack([ranges[rows, i], refined])
+    grid, lo, hi, spacing = bracket(ranges, 63 - np.argmax(tied[:, ::-1], axis=1))
+    best = grid
+    while np.any(narrow := spacing > 1e-10 * max_lag):
+        ranges = np.linspace(lo, hi, _LEVEL_SIZE, axis=1)
+        level = bracket(ranges, np.argmin(profile(ranges)[0], axis=1))
+        best, lo, hi, spacing = (np.where(narrow, new, old) for new, old in
+                                 zip(level, (best, lo, hi, spacing)))
+    ranges = np.column_stack([grid, best])
     sse, nug, psill = profile(ranges)
     j = (sse[:, 1] < sse[:, 0] * (1 - 1e-9)).astype(np.intp)
     return np.column_stack([nug[rows, j], psill[rows, j], ranges[rows, j]])
-
-
-def _bounded_brent(f, lo, hi, xatol):
-    """Minimizers of B scalar functions, each over its [lo, hi], by Brent's
-    method (Brent 1973, ch. 5) as Forsythe, Malcolm & Moler's fminbound
-    states it, with the absolute tolerances xatol and at most 500
-    evaluations each; all run in lockstep, one evaluation per step.
-
-    f(x, at) is the functions at (an index array) evaluated at the points x.
-    Each keeps its best point xf, its second best nfc and its previous
-    second best fulc, with their values, and tries a parabola through them
-    before a golden-section step into the larger part of its bracket [a, b].
-    """
-    sqrt_eps, golden = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-    xf = a + golden * (b - a)
-    fx = f(xf, np.arange(len(xf)))
-    zero = np.zeros_like(xf)
-    state = np.array([a, b, xf, fx, xf, fx, xf, fx, zero, zero])
-    for _ in range(499):
-        a, b, xf = state[:3]
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        at = np.flatnonzero(np.abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a))
-        if not at.size:
-            break
-        a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat = state[:, at]
-        xm, tol1 = xm[at], tol1[at]
-        tol2 = 2.0 * tol1
-
-        r = (xf - nfc) * (fx - ffulc)
-        q = (xf - fulc) * (fx - fnfc)
-        p = (xf - fulc) * q - (xf - nfc) * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                     & (p > q * (a - xf)) & (p < q * (b - xf)))
-        step = np.where(xf >= xm, a - xf, b - xf)
-        e, rat = (np.where(parabolic, rat, step),
-                  np.where(parabolic, np.divide(p, q, out=zero[at], where=parabolic),
-                           golden * step))
-        x = xf + rat
-        near = parabolic & ((x - a < tol2) | (b - x < tol2))
-        rat = np.where(near, tol1 * (np.sign(xm - xf) + (xm == xf)), rat)
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = f(x, at)
-
-        better = fu <= fx
-        bound = np.where(better, xf, x)
-        lower = (x >= xf) == better
-        a, b = np.where(lower, bound, a), np.where(lower, b, bound)
-        second = ~better & ((fu <= fnfc) | (nfc == xf))
-        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        shift = better | second
-        fulc, ffulc = (np.where(shift, nfc, np.where(third, x, fulc)),
-                       np.where(shift, fnfc, np.where(third, fu, ffulc)))
-        nfc, fnfc = (np.where(better, xf, np.where(second, x, nfc)),
-                     np.where(better, fx, np.where(second, fu, fnfc)))
-        xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
-        state[:, at] = [a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat]
-    return state[2]
 
 
 _ZERO_SILL = "zero-sill model has no unique kriging weights"

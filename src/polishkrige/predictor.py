@@ -313,7 +313,7 @@ def cross_validate(grid, methods, config=None):
     its node as a refit without it would.  The fold tables are polished as
     stacks, and one batched variogram pass serves all the folds of a stack:
     the pair distances and bins are shared, and every fold's variogram is
-    fitted in one grid pass and one lockstep Brent search, to the values
+    fitted in one nested grid search of the range, to the values
     fit_variogram gives it alone.  Each fold's residual variogram and
     kriging serve every method, and the impk fold spline comes from one
     factorization.  Folds whose deletion would empty a row or column, or

@@ -468,7 +468,7 @@ def test_loading_and_predicting_never_import_the_optimizer(csv_path, tmp_path):
 
 
 def test_fitting_and_cross_validating_never_import_the_optimizer(csv_path, tmp_path):
-    # the variogram fit runs its own bounded Brent search
+    # the variogram fit searches the range on its own nested grids
     model_path = tmp_path / "obs.model"
     code = "\n".join([
         "import sys",

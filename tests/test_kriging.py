@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from polishkrige import (
     predict_many,
     semivariance,
 )
+from polishkrige.kriging import _variogram_fit_stack
 from polishkrige.numerics import RCOND_FLOOR, cholesky_checked
 
 
@@ -104,6 +106,35 @@ class TestEmpiricalVariogram:
             tracemalloc.stop()
         assert peak < 17 * pairs + 16 * 2**16 * 8
 
+    @pytest.mark.parametrize("edit,message", [
+        (dict(gamma=[0.2, np.nan, 0.5, 0.6]), "need finite lags, finite gamma"),
+        (dict(gamma=[0.2, np.inf, 0.5, 0.6]), "need finite lags, finite gamma"),
+        (dict(gamma=[0.2, -0.1, 0.5, 0.6]), "need finite lags, finite gamma >= 0"),
+        (dict(lag_centers=[0.5, 1.5, np.inf, 3.5]), "need finite lags"),
+        (dict(pair_counts=[0, 0, 0, 0]), "pair counts >= 1"),
+        (dict(pair_counts=[4, 0, 4, 4]), "pair counts >= 1"),
+        (dict(max_lag=np.inf), "0 < max_lag < inf"),
+        (dict(max_lag=np.nan), "0 < max_lag < inf"),
+        (dict(max_lag=0.0), "0 < max_lag < inf"),
+        (dict(gamma=[0.2, 0.4, 0.5]), "differ in length"),
+        (dict(pair_counts=[4, 4, 4, 4, 4]), "differ in length"),
+    ], ids=["nan-gamma", "inf-gamma", "negative-gamma", "inf-lag", "zero-counts",
+            "one-zero-count", "inf-max-lag", "nan-max-lag", "zero-max-lag",
+            "short-gamma", "long-counts"])
+    def test_inconsistent_estimates_rejected(self, edit, message):
+        # unchecked, NaN gamma or all-zero counts would fit the zero model,
+        # and inf gamma or max_lag an infinite sill or range
+        kwargs = dict(lag_centers=[0.5, 1.5, 2.5, 3.5], gamma=[0.2, 0.4, 0.5, 0.6],
+                      pair_counts=[4, 4, 4, 4], max_lag=4.0) | edit
+        with pytest.raises(DataError, match=message):
+            fit_variogram(EmpiricalVariogram(**{k: np.asarray(v) for k, v in kwargs.items()}))
+
+    def test_overflowing_values_are_a_data_error(self, rng):
+        scatter = random_scatter(rng, 10)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="finite gamma"):
+            empirical_semivariogram(ScatterSet(scatter.coords, 1e200 * scatter.values))
+
+
 class TestVariogramModel:
     model = VariogramModel("spherical", 0.1, 0.9, 2.0)
 
@@ -171,6 +202,13 @@ class TestVariogramModel:
         with pytest.raises(DataError):
             semivariance(self.model, -0.5)
 
+    @pytest.mark.parametrize("name", ["nugget", "partial_sill", "range"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_parameters_rejected(self, name, value):
+        # the message must name the fault: an infinite value is not negative
+        with pytest.raises(DataError, match="must be finite"):
+            replace(self.model, **{name: value})
+
 
 class TestFitVariogram:
     def synth(self, model, lags, counts):
@@ -210,6 +248,41 @@ class TestFitVariogram:
         emp = EmpiricalVariogram(np.array([1.0, 2.0]), np.array([0.5, 0.8]), np.array([4, 4]), max_lag=3.0)
         with pytest.raises(DataError):
             fit_variogram(emp)
+
+    @pytest.mark.parametrize("range_", [1.7, 3.5, 5.2])
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_interior_range_to_the_tolerance(self, family, range_):
+        # noise-free estimates put the profile minimum at the true range, which
+        # the search must find to its absolute tolerance of 1e-10 max_lag
+        truth = VariogramModel(family, 0.15, 0.85, range_)
+        emp = self.synth(truth, np.linspace(0.3, 6.0, 12), np.full(12, 40))
+        assert abs(fit_variogram(emp, family).range - range_) <= 1e-10 * emp.max_lag
+
+    @pytest.mark.parametrize("level", [
+        0.25, 0.7, 2.0, 123.4,
+        pytest.param(1e-3, marks=pytest.mark.xfail(strict=True, reason=(
+            "the relative tie rule cannot tie SSEs whose minimum is exactly 0: "
+            "rounding alone then picks the range"))),
+    ])
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_constant_estimates_take_the_largest_range(self, family, level):
+        # every range fits a flat curve equally well, so the tie rule decides
+        lags = np.linspace(0.5, 5.0, 10)
+        emp = EmpiricalVariogram(lags, np.full(10, level), np.full(10, 25), max_lag=5.5)
+        fitted = fit_variogram(emp, family)
+        assert (fitted.nugget, fitted.partial_sill, fitted.range) == (level, 0.0, 5.5)
+
+    @pytest.mark.parametrize("family", ["spherical", "exponential", "gaussian"])
+    def test_stacked_fits_are_the_fits_alone(self, family):
+        # brackets at an end of the range grid narrow faster than interior
+        # ones; each variogram of a stack still stops on its own spacing
+        counts = np.full(12, 40)
+        emps = [EmpiricalVariogram(lags, semivariance(VariogramModel(family, 0.15, 0.85, r), lags),
+                                   counts, max_lag=6.3)
+                for lags in (np.linspace(0.01, 0.2, 12), np.linspace(0.3, 6.2, 12))
+                for r in (0.03, 0.05, 0.08, 1.7, 6.25, 6.29)]
+        emps.append(EmpiricalVariogram(emps[-1].lag_centers, np.full(12, 0.7), counts, max_lag=6.3))
+        assert _variogram_fit_stack(emps, family) == [fit_variogram(e, family) for e in emps]
 
     def test_weighting_prefers_heavy_bins(self):
         # an outlier bin with negligible pair support should barely move the fit

@@ -193,6 +193,18 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match=f"grid.model.*line {at + 1}: {why}"):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["range", "partial_sill"])
+    def test_non_finite_variogram_rejected(self, holey_table, tmp_path, key):
+        # a bad-model naming the fault, not a singular system at kriging or
+        # a complaint that inf is negative
+        lines = self.good_lines(holey_table, tmp_path)
+        target = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key} "))
+        lines[target] = f"{key} inf"
+        path = tmp_path / "inf.model"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="inf.model.*must be finite"):
+            load_model(path)
+
     def test_corrupt_scalar_rejected(self, holey_table, tmp_path):
         lines = self.good_lines(holey_table, tmp_path)
         target = next(i for i, ln in enumerate(lines) if ln.startswith("overall"))
