@@ -422,9 +422,15 @@ class KrigingSystem:
     sizes its own chunks (_chunking): W = L^-1 is formed only for
     n^2 <= 2**20, so it never holds more than 2**20 floats.  A zero-sill
     model predicts zero only for zero values.
+
+    _distances, private, is the scatter's n x n site distances as
+    numerics.distances gives them, C-contiguous, for a caller that already
+    holds them (cross-validation deletes a fold's row and column from the
+    full set's); the global path overwrites it with the covariance and
+    factors it, and any other path ignores it.
     """
 
-    def __init__(self, scatter, model, neighborhood=None):
+    def __init__(self, scatter, model, neighborhood=None, _distances=None):
         if neighborhood is not None and neighborhood < 1:
             raise DataError("neighborhood must be at least 1")
         n = scatter.n
@@ -442,8 +448,9 @@ class KrigingSystem:
             self._tree = cKDTree(scatter.coords)
             return
         xy = scatter.coords
-        self._chol, self.rcond = cholesky_checked(
-            _covariance_over(self._unit, distances(xy, xy)), "kriging covariance matrix")
+        h = distances(xy, xy) if _distances is None else _distances
+        self._chol, self.rcond = cholesky_checked(_covariance_over(self._unit, h),
+                                                  "kriging covariance matrix")
         self._u = self._lower_solve(np.ones(n))
         self._uu = float(self._u @ self._u)
         w = self._lower_solve(scatter.values)

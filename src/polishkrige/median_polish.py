@@ -60,18 +60,21 @@ def _median(v):
     return 0.5 * (s[..., (n - 1) // 2] + s[..., n // 2])
 
 
-def _masked_median(filled, counts):
-    """Medians along the last axis of a (B, m, n) stack with missing entries
-    filled with +inf and counts (B, m) present entries; much faster than
-    nanmedian for the small tables polished here."""
-    s = np.sort(filled, axis=-1).reshape(-1, filled.shape[-1])
+def _masked_median(s, counts):
+    """Medians along the last axis of a C-contiguous (B, m, n) stack s, which
+    is sorted in place, with missing entries +inf and counts (B, m) present
+    entries; much faster than nanmedian for the small tables polished here."""
+    s.sort(axis=-1)
+    s = s.reshape(-1, s.shape[-1])
     rows, c = np.arange(len(s)), counts.ravel()
     return (0.5 * (s[rows, (c - 1) // 2] + s[rows, c // 2])).reshape(counts.shape)
 
 
 def polish_stack(cells, tol=None, max_sweeps=100):
-    """Median polish of a (B, p, q) stack of tables with missing cells NaN:
-    (overall, row_effects, col_effects, sweeps, converged), stacked.
+    """Median polish of a (B, p, q) stack of tables with missing cells NaN,
+    every row and column with a present cell and those finite (as in a
+    GridTable): (overall, row_effects, col_effects, sweeps, converged),
+    stacked.
 
     A sweep subtracts row medians from the residuals (folding them into the
     row effects), re-centres the column effects by their median (folding that
@@ -79,7 +82,11 @@ def polish_stack(cells, tol=None, max_sweeps=100):
     A table converges, and is frozen, once every residual row and column
     median and the medians of both effect vectors are within its tol
     (default 1e-9 times its spread; DataError unless finite and >= 0) of
-    zero."""
+    zero.  The working residuals hold +inf at the missing cells, which
+    subtracting finite medians keeps there, so they sort last as they are;
+    column medians sort a C-contiguous transposed copy, and at the end of a
+    sweep only the tables whose row medians pass the test have their column
+    medians taken."""
     cells = np.asarray(cells, dtype=np.float64)
     b, p, q = cells.shape
     if tol is None:
@@ -88,10 +95,11 @@ def polish_stack(cells, tol=None, max_sweeps=100):
         raise DataError("median-polish tol must be finite and nonnegative")
     out = (np.zeros(b), np.zeros((b, p)), np.zeros((b, q)), np.zeros(b, int), np.zeros(b, bool))
     active, tol = np.arange(b), np.broadcast_to(tol, (b,))
-    resid, present = np.array(cells), ~np.isnan(cells)
+    present = ~np.isnan(cells)
+    resid = np.where(present, cells, np.inf)
     counts_row, counts_col = present.sum(axis=2), present.sum(axis=1)
     overall, row_effects, col_effects = out[0].copy(), out[1].copy(), out[2].copy()
-    row_med = _masked_median(np.where(present, resid, np.inf), counts_row)
+    row_med = _masked_median(resid.copy(), counts_row)
     sweep = 0
     while len(active) and sweep < max_sweeps:
         sweep += 1
@@ -101,7 +109,7 @@ def polish_stack(cells, tol=None, max_sweeps=100):
         col_effects -= shift[:, None]
         overall += shift
 
-        col_med = _masked_median(np.where(present, resid, np.inf).transpose(0, 2, 1), counts_col)
+        col_med = _masked_median(resid.transpose(0, 2, 1).copy(), counts_col)
         resid -= col_med[:, None, :]
         col_effects += col_med
         shift = _median(row_effects)
@@ -109,17 +117,18 @@ def polish_stack(cells, tol=None, max_sweeps=100):
         overall += shift
 
         # the next sweep starts by removing exactly these row medians
-        filled = np.where(present, resid, np.inf)
-        row_med = _masked_median(filled, counts_row)
-        col_med = _masked_median(filled.transpose(0, 2, 1), counts_col)
-        done = (np.abs(row_med).max(axis=1) <= tol) & (np.abs(col_med).max(axis=1) <= tol)
+        row_med = _masked_median(resid.copy(), counts_row)
+        done = np.abs(row_med).max(axis=1) <= tol
         if done.any():
-            done &= (np.abs(_median(row_effects)) <= tol) & (np.abs(_median(col_effects)) <= tol)
+            col_med = _masked_median(resid[done].transpose(0, 2, 1).copy(), counts_col[done])
+            done[done] = ((np.abs(col_med).max(axis=1) <= tol[done])
+                          & (np.abs(_median(row_effects[done])) <= tol[done])
+                          & (np.abs(_median(col_effects[done])) <= tol[done]))
         if done.any() or sweep == max_sweeps:
             for dst, src in zip(out, (overall, row_effects, col_effects, sweep, done)):
                 dst[active] = src
-            active, tol, resid, present, counts_row, counts_col = (
-                a[~done] for a in (active, tol, resid, present, counts_row, counts_col))
+            active, tol, resid, counts_row, counts_col = (
+                a[~done] for a in (active, tol, resid, counts_row, counts_col))
             overall, row_effects, col_effects, row_med = (
                 a[~done] for a in (overall, row_effects, col_effects, row_med))
     return out

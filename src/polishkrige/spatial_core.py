@@ -72,6 +72,14 @@ class ScatterSet:
         self.coords = _frozen(coords)
         self.values = _frozen(values)
 
+    @classmethod
+    def _unchecked(cls, coords, values):
+        """A ScatterSet of rows of a checked set's coords and finite values,
+        without the checks: a subset of distinct locations is distinct."""
+        scatter = cls.__new__(cls)
+        scatter.coords, scatter.values = _frozen(coords), _frozen(values)
+        return scatter
+
     @property
     def n(self):
         return self.coords.shape[0]

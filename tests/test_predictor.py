@@ -28,8 +28,9 @@ from polishkrige import (
     predict_many,
     rmse,
 )
-from polishkrige import kriging, mean_surface
+from polishkrige import kriging, mean_surface, predictor, spatial_core
 from polishkrige.kriging import (
+    FAMILIES,
     KrigingSystem,
     _semivariogram_stack,
     _variogram_fit_stack,
@@ -725,6 +726,57 @@ class TestCrossValidate:
         reports = cross_validate(coal_ash_grid, ("mpk", "impk"))
         assert [r.unconverged for r in reports] == [2, 2]
         assert [r.n_folds for r in reports] == [208, 208]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fold_systems_share_one_site_geometry(self, coal_ash_grid, family, monkeypatch):
+        # each fold system starts from the pass's site distances less the
+        # deleted node's row and column; it must be, bit for bit, the system
+        # built from scratch on the same fold scatter
+        built = []
+
+        def record(*args, **kwargs):
+            built.append((KrigingSystem(*args, **kwargs), kwargs.get("_distances") is not None))
+            return built[-1][0]
+        monkeypatch.setattr(predictor, "KrigingSystem", record)
+        config = FitConfig(family=family)
+        cross_validate(coal_ash_grid, ("mpk",), config)
+        monkeypatch.undo()
+        assert len(built) == coal_ash_grid.n_present
+        assert all(shared for _, shared in built)
+        rows, cols = np.nonzero(coal_ash_grid.present_mask)
+        for i in (0, 103, len(rows) - 1):
+            system = built[i][0]
+            polish, variogram = next(_folds(coal_ash_grid, np.array([i]), config))
+            scatter = residuals_as_scatter(polish, coal_ash_grid.lattice)
+            assert (system.scatter, system.model) == (scatter, variogram)
+            fresh = KrigingSystem(scatter, variogram)
+            assert system.rcond == fresh.rcond
+            np.testing.assert_array_equal(system._chol, fresh._chol)
+            node = coal_ash_grid.lattice.node(rows[i], cols[i])
+            xy = np.array([[node.x, node.y]])
+            for got, want in zip(system.predict_many(xy), fresh.predict_many(xy)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_site_geometry_per_pass(self, coal_ash_grid, monkeypatch):
+        # no fold re-checks its sites for duplicates or measures their
+        # distances afresh: both counts are per pass, not per fold
+        checks, square = [], []
+        closest = spatial_core._closest_pair_within
+        monkeypatch.setattr(spatial_core, "_closest_pair_within",
+                            lambda coords, tol: checks.append(len(coords)) or closest(coords, tol))
+        for module in (kriging, mean_surface, predictor):
+            def logged(a, b=None, *args, _distances=module.distances, **kwargs):
+                if b is not None and len(a) == len(b) > 1:
+                    square.append(len(a))
+                return _distances(a, b, *args, **kwargs)
+            monkeypatch.setattr(module, "distances", logged)
+        reports = cross_validate(coal_ash_grid, ("mpk", "impk"))
+        assert [r.n_folds for r in reports] == [208, 208]
+        # the folds' sites, the impk spline's centres and the variogram pass's
+        # coordinates each come from one check of the survey's 208 sites; the
+        # square matrices are the sites' distances and the spline's
+        assert checks == [208] * 3
+        assert square == [208] * 2
 
     def test_msse_by_hand(self, holey_table):
         report = loocv(holey_table, "impk")
