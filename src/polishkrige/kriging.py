@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
 
 from .errors import DataError, PolishKrigeError, SingularSystemError
-from .numerics import checked_rcond, cholesky_checked, distances, row_blocks
+from .numerics import _target_array, checked_rcond, cholesky_checked, distances, row_blocks
 from .spatial_core import _frozen
 
 FAMILIES = ("spherical", "exponential", "gaussian")
@@ -622,17 +622,6 @@ class KrigingSystem:
             values[lo:lo + rows] = resid if base is None else base + resid
             variances[lo:lo + rows] = self._variances(unit_var)
         return values, variances
-
-
-def _target_array(targets):
-    """targets as an (m, 2) float array of finite coordinates, else
-    DataError."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if targets.ndim != 2 or targets.shape[1] != 2:
-        raise DataError(f"targets must be (m, 2), got {targets.shape}")
-    if not np.isfinite(targets).all():
-        raise DataError("non-finite target coordinate")
-    return targets
 
 
 def ok_solve(scatter, model, target, neighborhood=None):

@@ -18,7 +18,7 @@ from scipy.linalg import lu_solve
 
 from .errors import DataError, DuplicateLocationError, SingularSystemError
 from .median_polish import MedianPolishFit
-from .numerics import RCOND_FLOOR, distances, factor_checked, row_blocks
+from .numerics import RCOND_FLOOR, _target_array, distances, factor_checked, row_blocks
 from .spatial_core import GridLattice, _closest_pair_within, _frozen, axis_cells
 
 
@@ -162,11 +162,8 @@ def biharmonic_deletions(centers, regularization=0.0):
 
 
 def biharmonic_eval_many(model, points):
-    """Spline values at an (M, 2) array of locations (DataError otherwise)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise DataError(f"expected (M, 2) points, got {points.shape}")
-    return _spline_over(model, distances(points, model.centers))
+    """Spline values at an (M, 2) array of finite locations (DataError otherwise)."""
+    return _spline_over(model, distances(_target_array(points), model.centers))
 
 
 def _spline_over(model, r):
@@ -205,10 +202,8 @@ def _interp_effect(coords, effects, t):
 
 
 def linear_mean_many(model, points):
-    """Mean-surface values at an (M, 2) array of locations."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != 2:
-        raise DataError(f"expected (M, 2) points, got {points.shape}")
+    """Mean-surface values at an (M, 2) array of finite locations (DataError otherwise)."""
+    points = _target_array(points)
     fit = model.fit
     lat = model.lattice
     col_part = _interp_effect(lat.x_coords, fit.col_effects, points[:, 0])

@@ -90,7 +90,7 @@ def save_model(model, path):
     grid, lat = model.source_grid, model.source_grid.lattice
     lines = [SIGNATURE, f"method {model.method}",
              *_section("lattice", {"x": lat.x_coords, "y": lat.y_coords}), "[grid]"]
-    for k, l in zip(*np.nonzero(grid.present_mask)):
+    for k, l in zip(*grid._sites[1:]):
         lines.append(f"{k} {l} {float(grid.cells[k, l])!r}")
     lines += _section("polish", vars(model.polish)) + _section("variogram", vars(model.variogram))
     if model.method == "impk":

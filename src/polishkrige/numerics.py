@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
-from .errors import SingularSystemError
+from .errors import DataError, SingularSystemError
 
 # reciprocal condition numbers below this are treated as singular; the
 # well-posed systems in this package sit many orders of magnitude above it
@@ -24,6 +24,16 @@ def row_blocks(a):
     step = max(1, 2**16 * len(a) // max(a.size, 1))
     for lo in range(0, len(a), step):
         yield a[lo:lo + step]
+
+
+def _target_array(targets):
+    """targets as an (m, 2) float array of finite coordinates, else DataError."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if targets.ndim != 2 or targets.shape[1] != 2:
+        raise DataError(f"targets must be (m, 2), got {targets.shape}")
+    if not np.isfinite(targets).all():
+        raise DataError("non-finite target coordinate")
+    return targets
 
 
 def distances(a, b=None, out=None, squared=False):

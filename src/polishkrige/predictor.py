@@ -35,8 +35,8 @@ from .mean_surface import (
     biharmonic_fit,
     linear_mean_many,
 )
-from .median_polish import decompose, polish_from_effects, polish_stack, residuals_as_scatter
-from .numerics import distances
+from .median_polish import decompose, polish_from_effects, polish_stack
+from .numerics import _target_array, distances
 from .spatial_core import GridLattice, Location2D, ScatterSet, _frozen
 
 METHODS = ("mpk", "impk")
@@ -91,8 +91,9 @@ class SurfaceModel:
 
     It derives the mean component (the linear effect model for mpk, the impk
     spline on the grid's spline frame, config.epsilon its ridge), then the
-    residual scatter and the residual-kriging engine, shared across targets.
-    Immutable; predict calls are pure and thread-safe.
+    residual-kriging stage (_residual_system, the one every cross-validation
+    fold builds too), shared across targets.  Immutable; predict calls are
+    pure and thread-safe.
     """
 
     def __init__(self, source_grid, config, polish, variogram=None, strengths=None):
@@ -109,26 +110,36 @@ class SurfaceModel:
             self.mean_component = (
                 biharmonic_fit(centers, effects(polish), config.epsilon) if strengths is None
                 else BiharmonicModel(centers, strengths, config.epsilon))
-        self._system = _residual_system(polish, source_grid.lattice, config, variogram)
+        self._system = _residual_system(source_grid, polish.residuals, config, variogram)
         self.residual_scatter, self.variogram = self._system.scatter, self._system.model
 
     def mean_at(self, points):
-        """Mean-surface values at an (M, 2) array of locations."""
+        """Mean-surface values at an (M, 2) array of finite locations (DataError otherwise)."""
         if self.method == "mpk":
             return linear_mean_many(self.mean_component, points)
-        spacing = self.source_grid.lattice.spacing
-        return self.polish.overall + biharmonic_eval_many(self.mean_component, points / spacing)
+        points = _target_array(points) / self.source_grid.lattice.spacing
+        return self.polish.overall + biharmonic_eval_many(self.mean_component, points)
 
 
-def _residual_system(polish, lattice, config, variogram=None):
-    """The residual-kriging stage of a polish: a KrigingSystem over its
-    residual scatter, under variogram or else the config's variogram fitted
-    to that scatter."""
-    scatter = residuals_as_scatter(polish, lattice)
+def _residual_system(grid, residuals, config, variogram=None, drop=None, site_distances=None):
+    """The residual-kriging stage of a fit and of every fold: a KrigingSystem
+    over residuals (a table of grid's shape) at grid's checked sites, less
+    site drop if given, which must all be finite (else DataError).  Its
+    variogram is the given one or the config's fitted to them; site_distances,
+    if given, are all the sites' distances, of which it takes its own sites'."""
+    coords, rows, cols = grid._sites
+    values = residuals[rows, cols]
+    if drop is not None:
+        coords, values = np.delete(coords, drop, 0), np.delete(values, drop)
+        if site_distances is not None:
+            site_distances = _less_node(site_distances, drop)
+    if bad := np.count_nonzero(~np.isfinite(values)):
+        raise DataError(f"{bad} median-polish residuals are not finite")
+    scatter = ScatterSet._unchecked(coords, values)
     if variogram is None:
         emp = empirical_semivariogram(scatter, n_bins=config.n_bins, max_lag=config.max_lag)
         variogram = fit_variogram(emp, family=config.family)
-    return KrigingSystem(scatter, variogram, config.neighborhood)
+    return KrigingSystem(scatter, variogram, config.neighborhood, _distances=site_distances)
 
 
 def fit(grid, method, config=None, variogram=None):
@@ -149,8 +160,8 @@ def _spline_frame(grid):
     """The impk spline's frame on grid: its centres, the present nodes in
     units of the lattice spacing (row-major), and effects(polish), its values
     there, the row plus column effects."""
-    rows, cols = np.nonzero(grid.present_mask)
-    return (grid.to_scatter().coords / grid.lattice.spacing,
+    coords, rows, cols = grid._sites
+    return (coords / grid.lattice.spacing,
             lambda polish: polish.row_effects[rows] + polish.col_effects[cols])
 
 
@@ -286,8 +297,7 @@ def _folds(grid, dropped, config, frozen=None):
     fitted in one pass (kriging._semivariogram_stack and
     _variogram_fit_stack), each a DataError where it cannot be fitted;
     frozen, when given, replaces them all."""
-    rows, cols = np.nonzero(grid.present_mask)
-    coords = grid.to_scatter().coords
+    coords, rows, cols = grid._sites
     step = max(1, 2**20 // grid.cells.size)
     for lo in range(0, len(dropped), step):
         cells = dropped[lo:lo + step]
@@ -325,13 +335,12 @@ def cross_validate(grid, methods, config=None):
     stacks, and one batched variogram pass serves all the folds of a stack:
     the pair distances and bins are shared, and every fold's variogram is
     fitted in one nested grid search of the range, to the values
-    fit_variogram gives it alone.  The folds share one site geometry: the
-    present cells are checked once, and on the global kriging path their
-    distances are computed once, so fold i's residual scatter is those sites
-    less site i, unchecked, and its kriging system starts from that distance
-    matrix less row and column i, bit for bit what a refit computes.  Each
-    fold's residual variogram and kriging serve every method, and the impk
-    fold spline comes from one factorization.  Folds whose deletion would
+    fit_variogram gives it alone.  Fold i builds fit's residual-kriging stage
+    (_residual_system) on the grid's checked sites less site i and, on the
+    global kriging path, on their distances, computed once per pass, less
+    row and column i: bit for bit what a refit computes.  Each fold's
+    residual variogram and kriging serve every method, and the impk fold
+    spline comes from one factorization.  Folds whose deletion would
     empty a row or column, or whose refit fails, are skipped with a reason,
     in fit's failure order: spline, then residual part; when every fold is
     skipped, the DataError gives their number and the first one's reason."""
@@ -339,27 +348,15 @@ def cross_validate(grid, methods, config=None):
     configs = [replace(config, method=m) for m in methods]
     frozen = fit(grid, "mpk", config).variogram if config.freeze_variogram else None
     lat, present = grid.lattice, grid.present_mask
-    rows, cols = np.nonzero(present)
+    sites, rows, cols = grid._sites
     row_counts, col_counts = present.sum(axis=1), present.sum(axis=0)
     usable = (row_counts[rows] >= 2) & (col_counts[cols] >= 2)
     folds = _folds(grid, np.flatnonzero(usable), config, frozen)
     if "impk" in methods:
         centers, effects = _spline_frame(grid)
         deletion = biharmonic_deletions(centers, config.epsilon)
-    # one site geometry per pass: fold i's residual sites, and on the global
-    # path their distances, are the present cells' less row (and column) i
-    sites = grid.to_scatter().coords if usable.any() else None
-    site_distances = (distances(sites, sites) if sites is not None and (
+    site_distances = (distances(sites, sites) if usable.any() and (
         config.neighborhood is None or config.neighborhood >= len(sites) - 1) else None)
-
-    def residual_system(polish, variogram, i):
-        """_residual_system of fold i, on the shared site geometry."""
-        values = np.delete(polish.residuals[rows, cols], i)
-        if not np.isfinite(values).all():  # the checked path, with its errors
-            return _residual_system(polish, lat, config, variogram)
-        scatter = ScatterSet._unchecked(np.delete(sites, i, 0), values)
-        d = None if site_distances is None else _less_node(site_distances, i)
-        return KrigingSystem(scatter, variogram, config.neighborhood, _distances=d)
 
     def outcomes(polish, variogram, i, xy):
         """{method: (value, variance) or skip reason} for deleted cell i."""
@@ -374,7 +371,8 @@ def cross_validate(grid, methods, config=None):
                     reasons["impk"] = f"{exc.category}: {exc}"
             if isinstance(variogram, PolishKrigeError):
                 raise variogram
-            resid, var = residual_system(polish, variogram, i).predict_many(xy)
+            resid, var = _residual_system(grid, polish.residuals, config, variogram, i,
+                                          site_distances).predict_many(xy)
         except PolishKrigeError as exc:
             return {m: reasons.get(m, f"{exc.category}: {exc}") for m in methods}
         return {m: reasons.get(m) or (float(means[m] + resid[0]), float(var[0]))

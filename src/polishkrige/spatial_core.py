@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -217,13 +218,18 @@ class GridTable:
     def n_present(self):
         return int(self.present_mask.sum())
 
-    def to_scatter(self):
-        """Present cells as a ScatterSet, row-major (row index outer)."""
+    @cached_property
+    def _sites(self):
+        """The present cells' (coords, rows, cols), row-major (row index outer),
+        read-only, checked for distinct locations (ScatterSet) once, when first read."""
         rows, cols = np.nonzero(self.present_mask)
-        coords = np.column_stack(
-            [self.lattice.x_coords[cols], self.lattice.y_coords[rows]]
-        )
-        return ScatterSet(coords, self.cells[rows, cols])
+        coords = np.column_stack([self.lattice.x_coords[cols], self.lattice.y_coords[rows]])
+        rows.flags.writeable = cols.flags.writeable = False
+        return ScatterSet(coords, self.cells[rows, cols]).coords, rows, cols
+
+    def to_scatter(self):
+        """Present cells as a ScatterSet, row-major, on the checked _sites."""
+        return ScatterSet._unchecked(self._sites[0], self.cells[self.present_mask])
 
     def drop_cell(self, k, l):
         """A copy of this table with cell (row k, col l) made missing.

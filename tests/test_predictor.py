@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from conftest import DATA_DIR
 from polishkrige import (
     CvReport,
     DataError,
@@ -21,12 +22,14 @@ from polishkrige import (
     decompose,
     fit,
     green_function,
+    load_observations_csv,
     loocv,
     ok_predict,
     predict,
     predict_grid,
     predict_many,
     rmse,
+    to_grid,
 )
 from polishkrige import kriging, mean_surface, predictor, spatial_core
 from polishkrige.kriging import (
@@ -37,7 +40,7 @@ from polishkrige.kriging import (
     empirical_semivariogram,
     fit_variogram,
 )
-from polishkrige.mean_surface import BiharmonicModel
+from polishkrige.mean_surface import BiharmonicModel, biharmonic_eval_many, linear_mean_many
 from polishkrige.median_polish import residuals_as_scatter
 from polishkrige.predictor import SurfaceModel, _folds
 
@@ -137,6 +140,29 @@ class TestFitBasics:
         for targets in (np.array([[2.3, 1.7, 0.0]]), np.array([2.3, 1.7, 0.0])):
             with pytest.raises(DataError, match="targets must be"):
                 predict_many(model, targets)
+
+    def test_point_functions_share_one_validator(self, holey_table):
+        mpk, impk = fit(holey_table, "mpk"), fit(holey_table, "impk")
+        evaluators = [lambda p: linear_mean_many(mpk.mean_component, p),
+                      lambda p: biharmonic_eval_many(impk.mean_component, p),
+                      mpk.mean_at, impk.mean_at,
+                      lambda p: predict_many(mpk, p), lambda p: predict_many(impk, p)]
+        for points, match in ((np.ones((3, 2, 2)), "targets must be"),
+                              ([[np.nan, 1.0]], "non-finite target coordinate"),
+                              (np.ones(3), "targets must be")):
+            for evaluate in evaluators:
+                with pytest.raises(DataError, match=match):
+                    evaluate(points)
+
+    def test_overflowing_polish_names_its_residuals(self):
+        # every cell is finite and present, but the polish overflows to NaN
+        lat = GridLattice([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        big = 1.7e308
+        grid = GridTable(lat, [[big, -big, -big], [-9e307, -big, big], [big, 2.0, -big]])
+        with np.errstate(all="ignore"):
+            assert np.isnan(decompose(grid).row_effects).all()
+            with pytest.raises(DataError, match="9 median-polish residuals are not finite"):
+                fit(grid, "mpk")
 
     def test_impk_spline_is_built_once(self, holey_table, monkeypatch):
         built = []
@@ -757,26 +783,43 @@ class TestCrossValidate:
             for got, want in zip(system.predict_many(xy), fresh.predict_many(xy)):
                 np.testing.assert_array_equal(got, want)
 
-    def test_one_site_geometry_per_pass(self, coal_ash_grid, monkeypatch):
-        # no fold re-checks its sites for duplicates or measures their
-        # distances afresh: both counts are per pass, not per fold
+    def test_one_site_geometry_per_pass(self, monkeypatch):
+        # a grid's sites are checked for duplicates once, when first read,
+        # and no fold re-checks them or measures their distances afresh; each
+        # pass starts from a freshly loaded grid, whose site set is not built
         checks, square = [], []
-        closest = spatial_core._closest_pair_within
-        monkeypatch.setattr(spatial_core, "_closest_pair_within",
-                            lambda coords, tol: checks.append(len(coords)) or closest(coords, tol))
+        for module in (spatial_core, mean_surface):
+            def counted(coords, tol, _closest=module._closest_pair_within):
+                checks.append(len(coords))
+                return _closest(coords, tol)
+            monkeypatch.setattr(module, "_closest_pair_within", counted)
         for module in (kriging, mean_surface, predictor):
             def logged(a, b=None, *args, _distances=module.distances, **kwargs):
                 if b is not None and len(a) == len(b) > 1:
                     square.append(len(a))
                 return _distances(a, b, *args, **kwargs)
             monkeypatch.setattr(module, "distances", logged)
-        reports = cross_validate(coal_ash_grid, ("mpk", "impk"))
+
+        def fresh_grid():
+            grid = to_grid(load_observations_csv(DATA_DIR / "coal_ash.csv"))
+            checks.clear()
+            square.clear()
+            return grid
+
+        reports = cross_validate(fresh_grid(), ("mpk", "impk"))
         assert [r.n_folds for r in reports] == [208, 208]
         # the folds' sites, the impk spline's centres and the variogram pass's
-        # coordinates each come from one check of the survey's 208 sites; the
-        # square matrices are the sites' distances and the spline's
-        assert checks == [208] * 3
+        # coordinates are the one checked site set of the survey's 208 cells;
+        # the square matrices are the sites' distances and the spline's
+        assert checks == [208]
         assert square == [208] * 2
+        # the frozen variogram's full-data fit reads the same site set
+        cross_validate(fresh_grid(), ("mpk", "impk"), FitConfig(freeze_variogram=True))
+        assert checks == [208]
+        # an impk fit checks the sites once, and the spline its centres twice
+        # (biharmonic_fit and BiharmonicModel)
+        fit(fresh_grid(), "impk")
+        assert checks == [208] * 3
 
     def test_msse_by_hand(self, holey_table):
         report = loocv(holey_table, "impk")
