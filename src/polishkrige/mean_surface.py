@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .errors import DataError, DuplicateLocationError, SingularSystemError
 from .median_polish import MedianPolishFit
@@ -120,14 +119,13 @@ def biharmonic_fit(centers, values, regularization=0.0):
         strengths = np.zeros(len(values))
         return BiharmonicModel(centers, strengths, float(regularization))
 
-    lu_piv = _green_system(centers, regularization)[0]
-    strengths = lu_solve(lu_piv, values, check_finite=False)
+    strengths = _green_system(centers, regularization)[0](values)
     return BiharmonicModel(centers, strengths, float(regularization))
 
 
 def _green_system(centers, regularization):
     """numerics.factor_checked of G + eps I, G_ij = phi_2(|c_i - c_j|):
-    (lu_piv, rcond, 1-norm).  G is built, regularized and LU-factored over
+    (solve, rcond, 1-norm).  G is built, regularized and LDL^T-factored over
     one n x n array.  DataError unless eps is finite and >= 0."""
     if not 0 <= regularization < np.inf:
         raise DataError("regularization must be finite and nonnegative")
@@ -140,23 +138,25 @@ def _green_system(centers, regularization):
 def biharmonic_deletions(centers, regularization=0.0):
     """deletion(i, w): the value at centers[i] of the spline through w at
     every other centre, by Dubrule's (1983) identity -H[i, ~i] . w[~i] / H[i, i]
-    with H the inverse of the full G + eps I, in O(N).  The reduced spline is
-    fitted instead (raising what biharmonic_fit raises) if G + eps I is
-    singular or |H[i, i]| cannot certify the reduced system's 1-norm rcond,
-    at least |H[i, i]| / (|G| |H| (|H| + |H[i, i]|)), above RCOND_FLOOR.
-    Raises DataError for a regularization that is not finite and >= 0."""
+    in O(N), H = solve(I) by G + eps I's LDL^T factor (sytrs; sytri's bits vary
+    with the BLAS thread count).  The reduced spline is fitted instead, raising
+    what biharmonic_fit raises, if w[~i] is not finite, G + eps I is singular or
+    |H[i, i]| cannot certify the reduced system's 1-norm rcond, at least
+    |H[i, i]| / (|G| |H| (|H| + |H[i, i]|)), above RCOND_FLOOR.  Raises DataError
+    for a regularization that is not finite and >= 0."""
     try:
-        lu_piv, _, g_norm = _green_system(centers, regularization)
-        h = lu_solve(lu_piv, np.eye(len(centers)))
+        solve, _, g_norm = _green_system(centers, regularization)
+        h = solve(np.eye(len(centers)))
         h_norm = np.linalg.norm(h, 1)
     except SingularSystemError:
         h = None
 
     def deletion(i, w):
-        hii = 0.0 if h is None else abs(h[i, i])
+        rest = np.delete(w, i)
+        hii = abs(h[i, i]) if h is not None and np.isfinite(rest).all() else 0.0
         if hii and hii >= RCOND_FLOOR * g_norm * h_norm * (h_norm + hii):
-            return -(np.delete(h[i], i) @ np.delete(w, i)) / h[i, i]
-        spline = biharmonic_fit(np.delete(centers, i, axis=0), np.delete(w, i), regularization)
+            return -(np.delete(h[i], i) @ rest) / h[i, i]
+        spline = biharmonic_fit(np.delete(centers, i, axis=0), rest, regularization)
         return biharmonic_eval_many(spline, centers[i:i + 1])[0]
     return deletion
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DataError, SingularSystemError
 
@@ -102,23 +100,24 @@ def checked_rcond(rcond, what):
 
 
 def factor_checked(a, what):
-    """LU-factor a symmetric matrix over its memory, raising
-    SingularSystemError when it is numerically unusable.
+    """Bunch-Kaufman LDL^T factor of a symmetric matrix over its memory,
+    raising SingularSystemError when it is numerically unusable.
 
     a must be C-contiguous and exactly symmetric; its transpose is the
-    Fortran-ordered view LAPACK factors in place, so a is overwritten and no
-    copy of it is made.  Returns (lu_piv, rcond, anorm) where lu_piv feeds
-    scipy.linalg.lu_solve, rcond is LAPACK's 1-norm reciprocal condition
+    Fortran-ordered view LAPACK's sytrf factors in place (with the workspace
+    sytrf_lwork asks for), so a is overwritten and no copy of it is made.
+    Returns (solve, rcond, anorm) where solve(b) is a^-1 b for an n-vector
+    or (n, k) array b (sytrs), rcond is sycon's 1-norm reciprocal condition
     estimate and anorm the 1-norm of a.
     """
     anorm = symmetric_norm1(a)
-    with warnings.catch_warnings():
-        # an exactly singular factor is diagnosed below through rcond
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu_piv = lu_factor(a.T, overwrite_a=True, check_finite=False)
-    gecon = get_lapack_funcs(("gecon",), (a,))[0]
-    rcond, info = gecon(lu_piv[0], anorm)
-    return lu_piv, checked_rcond(rcond if info == 0 else np.nan, what), anorm
+    sytrf, lwork, sytrs, sycon = get_lapack_funcs(
+        ("sytrf", "sytrf_lwork", "sytrs", "sycon"), (a,))
+    ldl, ipiv, _ = sytrf(a.T, lower=1, lwork=int(lwork(len(a), lower=1)[0]), overwrite_a=1)
+    # an exactly singular D (sytrf's info > 0) gets rcond 0 from sycon
+    rcond, info = sycon(ldl, ipiv, anorm, lower=1)
+    return (lambda b: sytrs(ldl, ipiv, b, lower=1)[0],
+            checked_rcond(rcond if info == 0 else np.nan, what), anorm)
 
 
 def cholesky_checked(a, what):

@@ -123,10 +123,10 @@ class SurfaceModel:
 
 def _residual_system(grid, residuals, config, variogram=None, drop=None, site_distances=None):
     """The residual-kriging stage of a fit and of every fold: a KrigingSystem
-    over residuals (a table of grid's shape) at grid's checked sites, less
-    site drop if given, which must all be finite (else DataError).  Its
-    variogram is the given one or the config's fitted to them; site_distances,
-    if given, are all the sites' distances, of which it takes its own sites'."""
+    over residuals (a table of grid's shape) at grid's checked sites less site
+    drop if given, all finite (else DataError), under variogram: raised if it
+    is an error, the config's fitted to them if None.  site_distances, if
+    given, are all the sites' distances, of which it takes its own sites'."""
     coords, rows, cols = grid._sites
     values = residuals[rows, cols]
     if drop is not None:
@@ -135,6 +135,8 @@ def _residual_system(grid, residuals, config, variogram=None, drop=None, site_di
             site_distances = _less_node(site_distances, drop)
     if bad := np.count_nonzero(~np.isfinite(values)):
         raise DataError(f"{bad} median-polish residuals are not finite")
+    if isinstance(variogram, PolishKrigeError):
+        raise variogram
     scatter = ScatterSet._unchecked(coords, values)
     if variogram is None:
         emp = empirical_semivariogram(scatter, n_bins=config.n_bins, max_lag=config.max_lag)
@@ -369,8 +371,6 @@ def cross_validate(grid, methods, config=None):
                     means["impk"] = polish.overall + deletion(i, effects(polish))
                 except PolishKrigeError as exc:
                     reasons["impk"] = f"{exc.category}: {exc}"
-            if isinstance(variogram, PolishKrigeError):
-                raise variogram
             resid, var = _residual_system(grid, polish.residuals, config, variogram, i,
                                           site_distances).predict_many(xy)
         except PolishKrigeError as exc:

@@ -509,10 +509,30 @@ def test_only_the_neighbourhood_path_imports_scipy_spatial(csv_path, tmp_path):
     run_child(code)
 
 
-def run_child(code):
-    """Run python -c code on this checkout's package; its stdout."""
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="a second BLAS thread needs a second CPU to differ from one")
+def test_impk_model_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the spline's factor and solves give the same bits at 1 and 2 threads
+    models = {}
+    for threads in ("1", "2"):
+        code = "\n".join(["from polishkrige.cli import main"] + [
+            f"assert main(['fit', {str(DATA_DIR / 'coal_ash.csv')!r}, '--method', 'impk', "
+            f"'--variogram', {family!r}, '--out', "
+            f"{str(tmp_path / f'{family}.{threads}.model')!r}]) == 0"
+            for family in ("spherical", "gaussian")])
+        run_child(code, {name: threads for name in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    for family in ("spherical", "gaussian"):
+        one, two = (tmp_path / f"{family}.{t}.model" for t in "12")
+        assert one.read_bytes() == two.read_bytes(), family
+
+
+def run_child(code, env=None):
+    """Run python -c code on this checkout's package, with env's variables
+    added to this process's; its stdout."""
     src = str(pathlib.Path(polishkrige.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout

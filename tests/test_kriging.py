@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -777,3 +778,31 @@ class TestNearestSelection:
                                                     "gaussian", 0.0, 1.0, 15.0, targets[j])
             assert values[j] == pytest.approx(float(value), abs=1e-4)
             assert variances[j] == pytest.approx(max(float(variance), 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("range_", [3.0, 6.0, 10.0, 14.0, 18.0, 20.0, 21.5])
+    def test_k16_sweep_towards_the_floor_against_the_oracle(self, range_):
+        # the 4 x 4 block of a 5 x 5 unit lattice is every target's 16
+        # nearest; a zero-nugget gaussian takes its rcond from 2.9e-4
+        # (range 3) to 1.9e-14 (range 21.5).  The refined weights stay within
+        # eps / rcond max|value| of the 50-digit solve, and the variance
+        # within eps / rcond; the explicit inverse alone exceeds the first
+        ys, xs = np.mgrid[0:5, 0:5].astype(np.float64)
+        coords = np.column_stack([xs.ravel(), ys.ravel()])
+        rng = np.random.default_rng(7)
+        scatter = ScatterSet(coords, rng.normal(size=25))
+        targets = 1.5 + rng.uniform(-0.12, 0.12, size=(6, 2))
+        block = np.flatnonzero((coords < 3.5).all(axis=1))
+        model = VariogramModel("gaussian", 0.0, 1.0, range_)
+        system = KrigingSystem(scatter, model, neighborhood=16)
+        np.testing.assert_array_equal(system._nearest(targets), np.tile(block, (6, 1)))
+        cov = mp.matrix(covariance(model, cdist(coords[block], coords[block])).tolist())
+        rcond = float(1 / (mp.mnorm(cov, 1) * mp.mnorm(cov**-1, 1)))
+        assert RCOND_FLOOR < rcond < 3e-4
+        bound = np.finfo(float).eps / rcond
+        values, variances = system.predict_many(targets)
+        for j, target in enumerate(targets):
+            _, _, value, variance = mp_ok_reference(coords[block], scatter.values[block],
+                                                    "gaussian", 0.0, 1.0, range_, target)
+            assert values[j] == pytest.approx(
+                float(value), rel=0, abs=bound * np.abs(scatter.values[block]).max())
+            assert variances[j] == pytest.approx(max(float(variance), 0.0), rel=0, abs=bound)

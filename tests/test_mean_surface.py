@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 from conftest import mp_spline
@@ -175,7 +175,11 @@ class TestBiharmonicFit:
         r = cdist(coords, coords)
         g = np.where(r == 0, 0.0, r * r * (np.log(np.where(r == 0, 1.0, r)) - 1.0))
         g += regularization * np.eye(60)
-        want = lu_solve(lu_factor(g), values)
+        # LAPACK's Bunch-Kaufman LDL^T of a copy, with the queried workspace
+        sytrf, lwork, sytrs = get_lapack_funcs(("sytrf", "sytrf_lwork", "sytrs"), (g,))
+        ldl, ipiv, info = sytrf(g.copy(), lower=1, lwork=int(lwork(60, lower=1)[0]))
+        assert info == 0
+        want = sytrs(ldl, ipiv, values, lower=1)[0]
         got = biharmonic_fit(coords, values, regularization).strengths
         np.testing.assert_array_equal(got, want)
 

@@ -53,6 +53,14 @@ def thin_row_table():
     return GridTable(lat, cells)
 
 
+def overflowing_table():
+    """3 x 3, every cell finite and present, whose median polish overflows
+    to NaN."""
+    big = 1.7e308
+    return GridTable(GridLattice([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]),
+                     [[big, -big, -big], [-9e307, -big, big], [big, 2.0, -big]])
+
+
 def singular_ridge(grid, drop=None):
     """A spline ridge that makes the Green system of the present cells (less
     present cell drop) singular to rounding: minus its lowest eigenvalue."""
@@ -155,10 +163,7 @@ class TestFitBasics:
                     evaluate(points)
 
     def test_overflowing_polish_names_its_residuals(self):
-        # every cell is finite and present, but the polish overflows to NaN
-        lat = GridLattice([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-        big = 1.7e308
-        grid = GridTable(lat, [[big, -big, -big], [-9e307, -big, big], [big, 2.0, -big]])
+        grid = overflowing_table()
         with np.errstate(all="ignore"):
             assert np.isnan(decompose(grid).row_effects).all()
             with pytest.raises(DataError, match="9 median-polish residuals are not finite"):
@@ -711,6 +716,18 @@ class TestCrossValidate:
         else:
             assert [s.reason.split(" (")[0] for s in impk.skipped] == [
                 "singular-system: green-function system is numerically singular"]
+
+    @pytest.mark.parametrize("method", ["mpk", "impk"])
+    def test_overflowing_fold_is_skipped_for_its_refits_reason(self, method):
+        # every fold's polish overflows to NaN: cv skips fold 0 for what a
+        # refit without its cell raises, not for the stacked variogram's error
+        grid = overflowing_table()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError) as refit:
+                fit(grid.drop_cell(0, 0), method)
+            with pytest.raises(DataError) as cv:
+                cross_validate(grid, (method,))
+        assert str(cv.value).endswith(f"at (0, 0): {refit.value.category}: {refit.value}")
 
     @pytest.mark.parametrize("knobs", [{}, {"n_bins": 2}, {"max_lag": 0.5}],
                              ids=["default", "two-bins", "short-max-lag"])
